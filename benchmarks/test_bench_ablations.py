@@ -2,8 +2,8 @@
 
 1. bound tightening: LP-tightened vs plain interval bounds — binary count
    and end-to-end verification time;
-2. LP backend: from-scratch simplex vs HiGHS inside branch-and-bound —
-   identical answers, different cost;
+2. reference agreement: the branch-and-bound optimum vs
+   ``scipy.optimize.milp`` on the same encoding;
 3. branching rule: most-fractional vs first-index vs random.
 """
 
@@ -99,86 +99,53 @@ class TestBoundTighteningAblation:
         assert len(bounds) == len(network.layers)
 
 
-class TestLPBackendAblation:
-    def test_bench_backend_table(self, benchmark, subject, study, emit):
-        """Regenerates the backend-ablation table under --benchmark-only."""
+class TestReferenceMILPAgreement:
+    def test_branch_and_bound_matches_scipy_milp(self, subject, study, emit):
+        """B&B and scipy's HiGHS MIP agree on the I4x4 max query.
+
+        Both solve the same encoding; the optima are compared as network
+        values at each argmax, because ``dense_arrays()`` drops the
+        objective constant.
+        """
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        from repro.core.encoder import attach_objective, encode_network
+
         network, region = subject
         objective = OutputObjective.single(
             mu_lat_indices(study.config.num_components)[0]
         )
+        options = EncoderOptions(bound_mode="lp")
+        result = Verifier(
+            network, options, MILPOptions(time_limit=TIME_LIMIT)
+        ).maximize(region, objective)
+        assert result.verdict is Verdict.MAX_FOUND
 
-        def run_both():
-            rows = []
-            for backend in ("highs", "simplex"):
-                verifier = Verifier(
-                    network,
-                    EncoderOptions(bound_mode="lp"),
-                    MILPOptions(
-                        time_limit=TIME_LIMIT, lp_backend=backend
-                    ),
-                )
-                result = verifier.maximize(region, objective)
-                rows.append(
-                    [
-                        backend,
-                        result.verdict.value,
-                        f"{result.value:.5f}"
-                        if result.verdict is Verdict.MAX_FOUND
-                        else "-",
-                        f"{result.wall_time:.2f}s",
-                    ]
-                )
-            return rows
-
-        rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+        encoded = encode_network(network, region, options)
+        attach_objective(encoded, objective, maximize=True)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = encoded.model.dense_arrays()
+        constraints = []
+        if a_ub is not None:
+            constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+        if a_eq is not None:
+            constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
+        integrality = np.zeros(len(c))
+        integrality[encoded.model.integer_indices] = 1
+        reference = milp(
+            c, constraints=constraints, integrality=integrality,
+            bounds=Bounds(*np.array(bounds, dtype=float).T),
+            options={"time_limit": TIME_LIMIT},
+        )
+        assert reference.status == 0, reference.message
+        witness = encoded.input_point(reference.x)
+        reference_value = objective.value(network.forward(witness)[0])
         emit(
-            "\n"
-            + render_generic(
-                ["backend", "verdict", "max", "time"],
-                rows,
-                title="LP backend ablation",
-            )
+            f"\nI4x{min(TABLE_II_WIDTHS)} max: branch-and-bound "
+            f"{result.network_value:.6f}, scipy milp {reference_value:.6f}"
         )
-
-    def test_backends_agree_end_to_end(self, subject, study):
-        network, region = subject
-        objective = OutputObjective.single(
-            mu_lat_indices(study.config.num_components)[0]
+        assert result.network_value == pytest.approx(
+            reference_value, abs=1e-4
         )
-        rows = []
-        values = {}
-        for backend in ("highs", "simplex"):
-            verifier = Verifier(
-                network,
-                EncoderOptions(bound_mode="lp"),
-                MILPOptions(time_limit=TIME_LIMIT, lp_backend=backend),
-            )
-            result = verifier.maximize(region, objective)
-            rows.append(
-                [
-                    backend,
-                    result.verdict.value,
-                    f"{result.value:.5f}"
-                    if result.verdict is Verdict.MAX_FOUND
-                    else "-",
-                    f"{result.wall_time:.2f}s",
-                    str(result.nodes),
-                ]
-            )
-            if result.verdict is Verdict.MAX_FOUND:
-                values[backend] = result.value
-        print()
-        print(
-            render_generic(
-                ["backend", "verdict", "max", "time", "nodes"],
-                rows,
-                title="LP backend ablation",
-            )
-        )
-        if len(values) == 2:
-            assert values["highs"] == pytest.approx(
-                values["simplex"], abs=1e-4
-            )
 
 
 _BRANCHING_VALUES = {}

@@ -80,7 +80,7 @@ def main() -> None:
     print(render_summary(summarize_trace(records)))
 
     # What `repro trace tree --format dot` exports: the B&B search
-    # forest, one tree per solve span, warm-started nodes highlighted.
+    # forest, one tree per solve span, pruned nodes highlighted.
     tree = build_search_tree(records)
     with open(DOT_PATH, "w", encoding="utf-8") as handle:
         handle.write(tree_to_dot(tree))

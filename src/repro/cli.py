@@ -47,6 +47,7 @@ from repro.highway import (
     generate_expert_dataset,
     overtaking_scene,
 )
+from repro.milp import MILPOptions
 from repro.nn.mdn import mixture_from_raw
 from repro.nn.serialization import load_network, save_network
 from repro.nn.training import TrainingConfig
@@ -54,29 +55,6 @@ from repro.obs.logconfig import configure_logging, get_logger
 from repro.report import figure_1, render_table_ii
 
 logger = get_logger("cli")
-
-
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lp-backend", default="highs",
-        choices=("highs", "simplex", "revised"),
-        help="LP engine for node relaxations (cuts need 'revised')",
-    )
-    parser.add_argument(
-        "--cuts", dest="cuts", action="store_true", default=None,
-        help="force the cutting-plane loop on (default: automatic, on "
-        "for tableau-exposing backends)",
-    )
-    parser.add_argument(
-        "--no-cuts", dest="cuts", action="store_false",
-        help="force the cutting-plane loop off",
-    )
-    parser.add_argument(
-        "--cut-min-binaries", type=int, default=None, metavar="N",
-        help="adaptive cut activation: skip separation on models with "
-        "fewer than N binaries (0 disables the threshold; default: "
-        "solver default)",
-    )
 
 
 def _add_split_args(parser: argparse.ArgumentParser) -> None:
@@ -211,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="projected-gradient iterations for --bound-mode alpha "
         "(default: engine default)",
     )
-    _add_solver_args(verify)
     _add_split_args(verify)
     _add_certify_args(verify)
     _add_observability_args(verify)
@@ -260,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="durable cache directory: bounds and verdicts spill to "
         "JSONL files there and are reloaded by later runs",
     )
-    _add_solver_args(campaign)
     _add_split_args(campaign)
     _add_certify_args(campaign)
     _add_observability_args(campaign)
@@ -296,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha-iters", type=int, default=None, metavar="N",
         help="projected-gradient iterations for --bound-mode alpha",
     )
-    _add_solver_args(serve)
     _add_split_args(serve)
     _add_observability_args(serve)
     _add_metrics_args(serve)
@@ -620,9 +595,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             bound_mode=args.bound_mode,
             jobs=args.jobs if args.jobs != 1 else None,
             tracer=tracer,
-            lp_backend=args.lp_backend, cuts=args.cuts,
             alpha_iters=args.alpha_iters,
-            cut_min_binaries=args.cut_min_binaries,
             split=args.split,
             split_depth=args.split_depth,
             split_min_width=args.split_min_width,
@@ -644,10 +617,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     args.split, args.split_depth, args.split_min_width,
                     certify=args.certify,
                 ),
-                casestudy._milp_options(
-                    args.time_limit, args.lp_backend, args.cuts,
-                    args.cut_min_binaries,
-                ),
+                MILPOptions(time_limit=args.time_limit),
                 tracer=tracer,
             )
             results = [
@@ -718,10 +688,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cell_time_limit=args.cell_budget,
         threshold=args.threshold,
-        lp_backend=args.lp_backend,
-        cuts=args.cuts,
         alpha_iters=args.alpha_iters,
-        cut_min_binaries=args.cut_min_binaries,
         split=args.split,
         split_depth=args.split_depth,
         split_min_width=args.split_min_width,
@@ -870,10 +837,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.bound_mode, args.alpha_iters,
         args.split, args.split_depth, args.split_min_width,
     )
-    milp_options = casestudy._milp_options(
-        args.time_limit, args.lp_backend, args.cuts,
-        args.cut_min_binaries,
-    )
+    milp_options = MILPOptions(time_limit=args.time_limit)
     pool = VerificationPool(
         workers=args.jobs, cache_dir=args.cache_dir,
         tracer=_open_tracer(args),

@@ -196,52 +196,8 @@ class CampaignReport:
 
     @property
     def total_lp_iterations(self) -> int:
-        """Simplex iterations summed over every cell's node LPs."""
+        """LP iterations summed over every cell's node LPs."""
         return sum(c.result.lp_iterations for c in self.cells)
-
-    @property
-    def total_lp_iterations_saved(self) -> int:
-        """Estimated iterations avoided by basis-reuse warm starts."""
-        return sum(c.result.lp_iterations_saved for c in self.cells)
-
-    @property
-    def total_basis_rejections(self) -> int:
-        """Warm starts rejected (fell back to a cold node solve)."""
-        return sum(c.result.basis_rejections for c in self.cells)
-
-    @property
-    def warm_start_hit_rate(self) -> float:
-        """Campaign-wide warm-start hit rate (0.0 when never attempted)."""
-        attempts = sum(c.result.warm_start_attempts for c in self.cells)
-        if attempts == 0:
-            return 0.0
-        hits = sum(c.result.warm_start_hits for c in self.cells)
-        return hits / attempts
-
-    @property
-    def total_cuts_added(self) -> int:
-        """Cutting planes appended across every cell's MILP solves."""
-        return sum(c.result.cuts_added for c in self.cells)
-
-    @property
-    def total_cuts_evicted(self) -> int:
-        """Cuts retired by root-loop aging across all cells."""
-        return sum(c.result.cuts_evicted for c in self.cells)
-
-    @property
-    def total_cut_rounds(self) -> int:
-        """Separation rounds run across all cells."""
-        return sum(c.result.cut_rounds for c in self.cells)
-
-    @property
-    def total_cut_separation_time(self) -> float:
-        """Seconds spent inside cut separators across all cells."""
-        return sum(c.result.cut_separation_time for c in self.cells)
-
-    @property
-    def total_cuts_skipped_adaptive(self) -> int:
-        """Solves that skipped cut separation below the size threshold."""
-        return sum(c.result.cuts_skipped_adaptive for c in self.cells)
 
     @property
     def total_alpha_iters(self) -> int:
@@ -382,29 +338,6 @@ class CampaignReport:
                 f"region bisection: {self.split_proofs} sub-region"
                 f"{'s' if self.split_proofs != 1 else ''} pruned "
                 f"statically, {self.split_cells} solved by the MILP"
-            )
-        attempts = sum(c.result.warm_start_attempts for c in self.cells)
-        if attempts:
-            lines.append(
-                f"node LPs: {self.total_lp_iterations} simplex iterations; "
-                f"warm-start hit rate {self.warm_start_hit_rate:.0%} "
-                f"({attempts} attempts, "
-                f"{self.total_basis_rejections} rejected), "
-                f"~{self.total_lp_iterations_saved} iterations saved"
-            )
-        if self.total_cut_rounds:
-            lines.append(
-                f"cutting planes: {self.total_cuts_added} added over "
-                f"{self.total_cut_rounds} rounds "
-                f"({self.total_cuts_evicted} evicted), "
-                f"separation {self.total_cut_separation_time:.2f}s"
-            )
-        skipped = self.total_cuts_skipped_adaptive
-        if skipped:
-            lines.append(
-                f"adaptive cuts: separation skipped in {skipped} solve"
-                f"{'s' if skipped != 1 else ''} below the binary-count "
-                "threshold"
             )
         if self.total_alpha_iters:
             lines.append(

@@ -32,7 +32,6 @@ from repro.core.bounds import (
 )
 from repro.core.properties import InputRegion, OutputObjective
 from repro.errors import EncodingError
-from repro.milp.cuts import ReluNeuron
 from repro.milp.expr import LinExpr, Sense, Variable, VarType
 from repro.milp.model import Model
 from repro.nn.network import FeedForwardNetwork
@@ -82,11 +81,31 @@ class EncoderOptions:
     split_min_width: float = SPLIT_MIN_WIDTH
     #: Emit a ``repro-proof/1`` certificate with every VERIFIED verdict
     #: (:mod:`repro.proof`).  Pins the proving pipeline to checkable
-    #: paths: fixed-policy symbolic prescreens, the ``"revised"`` LP
-    #: backend with cuts/presolve/reduced-cost fixing disabled and
-    #: leaf-cover recording on.  Part of the options token, so certified
-    #: verdict fingerprints never collide with uncertified ones.
+    #: paths: fixed-policy symbolic prescreens, and a MILP search with
+    #: presolve disabled and leaf-cover recording on.  Part of the
+    #: options token, so certified verdict fingerprints never collide
+    #: with uncertified ones.
     certify: bool = False
+
+
+@dataclasses.dataclass
+class ReluNeuron:
+    """One ambiguous ReLU neuron, as the encoder laid it out.
+
+    ``pre_coeffs``/``pre_const`` give the pre-activation
+    ``z = sum(pre_coeffs[j] * x_j) + pre_const`` over model columns (the
+    encoding has no explicit ``z`` variable); ``lower``/``upper`` are the
+    padded pre-activation bounds the big-M rows use.
+    """
+
+    layer: int
+    index: int
+    a_col: int
+    d_col: int
+    pre_coeffs: Dict[int, float]
+    pre_const: float
+    lower: float
+    upper: float
 
 
 @dataclasses.dataclass
@@ -98,8 +117,8 @@ class EncodedNetwork:
     output_exprs: List[LinExpr]
     binaries: List[Variable]
     bounds: List[LayerBounds]
-    #: Per ambiguous neuron: the ``(z, a, d, l, u)`` tuple the ReLU cut
-    #: separator consumes (``z`` as an affine form over model columns).
+    #: Per ambiguous neuron: its ``(z, a, d, l, u)`` layout (``z`` as an
+    #: affine form over model columns), for the encoding audit.
     neurons: List[ReluNeuron] = dataclasses.field(default_factory=list)
 
     @property

@@ -90,8 +90,8 @@ class VerificationResult:
     #: :func:`repro.analysis.symbolic.symbolic_objective_bounds`).
     solver: str = "milp"
     #: Solver-telemetry snapshot threaded up from ``MILPResult.metrics``
-    #: (warm-start accounting and future instruments); the historical
-    #: attribute names below read from this mapping.
+    #: plus bound-engine instruments; the properties below read from
+    #: this mapping.
     metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Independent proof certificate (a ``repro-proof/1`` payload, see
     #: :mod:`repro.proof`) attached to VERIFIED verdicts when the query
@@ -109,49 +109,6 @@ class VerificationResult:
     def certified(self) -> bool:
         """True when a checker-accepted certificate is attached."""
         return self.certificate is not None
-
-    @property
-    def warm_start_attempts(self) -> int:
-        return int(self.metrics.get("warm_start_attempts", 0))
-
-    @property
-    def warm_start_hits(self) -> int:
-        return int(self.metrics.get("warm_start_hits", 0))
-
-    @property
-    def basis_rejections(self) -> int:
-        return int(self.metrics.get("basis_rejections", 0))
-
-    @property
-    def lp_iterations_saved(self) -> int:
-        return int(self.metrics.get("lp_iterations_saved", 0))
-
-    @property
-    def warm_start_hit_rate(self) -> float:
-        """Fraction of node LPs that reused the parent basis (0 if none)."""
-        if self.warm_start_attempts == 0:
-            return 0.0
-        return self.warm_start_hits / self.warm_start_attempts
-
-    @property
-    def cuts_added(self) -> int:
-        return int(self.metrics.get("cuts_added", 0))
-
-    @property
-    def cuts_evicted(self) -> int:
-        return int(self.metrics.get("cuts_evicted", 0))
-
-    @property
-    def cut_rounds(self) -> int:
-        return int(self.metrics.get("cut_rounds", 0))
-
-    @property
-    def cut_separation_time(self) -> float:
-        return float(self.metrics.get("cut_separation_time", 0.0))
-
-    @property
-    def cuts_skipped_adaptive(self) -> int:
-        return int(self.metrics.get("cuts_skipped_adaptive", 0))
 
     @property
     def alpha_iters(self) -> int:
@@ -199,7 +156,7 @@ def verdict_fingerprint(
     Two queries share a fingerprint iff they would run the exact same
     decision procedure: same network parameters, same region geometry,
     same objective functional, same kind/threshold and the same encoder
-    and MILP options (a different time limit or cut setting can change
+    and MILP options (a different time limit or branching rule can change
     the verdict, so every option field participates).  This is the key
     of the cross-campaign verdict cache: repeated queries on the same
     cell cost one lookup instead of one solve.
@@ -419,7 +376,6 @@ class Verifier:
         ):
             result = solve_milp(
                 encoded.model, self.milp_options, tracer=self.tracer,
-                relu_neurons=encoded.neurons,
             )
         wall = time.monotonic() - start
 
@@ -644,12 +600,11 @@ class Verifier:
             return driver.prove(prop, start=start)
         milp_options = self.milp_options
         if record is not None:
-            # Pin the search to the replayable configuration: the ray-
-            # exporting backend, no encoding rewrites, leaf recording on.
+            # Pin the search to the replayable configuration: no
+            # encoding rewrites, leaf recording on.
             precomputed_bounds = record.bounds
             milp_options = dataclasses.replace(
-                milp_options, lp_backend="revised", cuts=False,
-                presolve=False, rc_fixing=False, record_proof=True,
+                milp_options, presolve=False, record_proof=True,
             )
         encoded = encode_network(
             self.network,
@@ -667,7 +622,6 @@ class Verifier:
         ):
             result = solve_milp(
                 encoded.model, milp_options, tracer=self.tracer,
-                relu_neurons=encoded.neurons,
             )
         wall = time.monotonic() - start
 

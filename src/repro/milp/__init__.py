@@ -1,4 +1,4 @@
-"""From-scratch mixed-integer linear programming.
+"""Mixed-integer linear programming for the big-M network encoding.
 
 The paper's verification methodology (Cheng et al., ATVA 2017) encodes ReLU
 networks as mixed integer linear constraints; this package provides the
@@ -6,28 +6,16 @@ solver stack for that encoding:
 
 * :mod:`repro.milp.expr` / :mod:`repro.milp.model` — algebraic modelling
   layer (variables, linear expressions, constraints, objective);
-* :mod:`repro.milp.simplex` — two-phase dense tableau simplex, written from
-  scratch (the cold-start reference path);
-* :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex with
-  dual-simplex warm starting from a caller-supplied basis;
-* :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract;
+* :mod:`repro.milp.scipy_backend` — the node-LP engine (HiGHS through
+  :func:`scipy.optimize.linprog`) and the Farkas rays behind proof
+  certificates;
 * :mod:`repro.milp.presolve` — bound propagation;
-* :mod:`repro.milp.cuts` — Gomory mixed-integer and ReLU triangle cut
-  separation with a managed (deduplicated, scored, aged) cut pool;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, basis-reuse warm starts, cutting planes, rounding
-  heuristics, node/time budgets and proven dual bounds.
+  pseudocost branching, rounding heuristics, node/time budgets and proven
+  dual bounds.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp
-from repro.milp.cuts import (
-    Cut,
-    CutPool,
-    ReluNeuron,
-    separate_gomory,
-    separate_relu,
-)
-from repro.milp.revised_simplex import Basis, StandardLP
 from repro.milp.io import model_to_lp, write_lp
 from repro.milp.expr import (
     Constraint,
@@ -42,24 +30,17 @@ from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
 
 __all__ = [
-    "Basis",
-    "StandardLP",
     "Constraint",
     "ConstraintOp",
-    "Cut",
-    "CutPool",
     "LinExpr",
     "LPResult",
     "MILPOptions",
     "MILPResult",
     "Model",
-    "ReluNeuron",
     "Sense",
     "SolveStatus",
     "Variable",
     "VarType",
-    "separate_gomory",
-    "separate_relu",
     "solve_milp",
     "model_to_lp",
     "write_lp",

@@ -1,34 +1,26 @@
-"""Branch-and-bound for mixed-integer linear programs, warm-started.
+"""Branch-and-bound for mixed-integer linear programs.
 
-The engine is classical in shape — LP relaxation per node, pruning by
-bound, an LP-rounding primal heuristic — but the node loop is built for
-reoptimisation speed:
+The engine is classical in shape — an LP relaxation per node, pruning by
+bound, an LP-rounding primal heuristic — with every node LP solved by
+HiGHS (:mod:`repro.milp.scipy_backend`):
 
-* with the ``"revised"`` LP backend the model is standardised/densified
-  **once** at the root; every node carries its parent's optimal
-  :class:`~repro.milp.revised_simplex.Basis` and the child LP is solved by
-  **dual-simplex reoptimisation** after the single bound change, falling
-  back to a cold solve only when the warm start is rejected;
 * **pseudocost branching** (the default) learns per-column objective
   degradations from every solved child and steers branching toward
   columns that move the bound; the classic rules remain selectable;
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
   returning to the global best-bound node when a dive is pruned;
-* once an incumbent exists, **reduced-cost bound fixing** at the root
-  tightens every column whose reduced cost proves it cannot move without
-  leaving the optimality window.
+* a node LP that HiGHS fails to solve (iteration limit, numerical
+  trouble) is never mistaken for an infeasible one: its subtree stays
+  undecided, so the search cannot end INFEASIBLE or OPTIMAL.
 
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
-budget.  Warm-start telemetry (attempts, hits, rejections, estimated
-iterations saved) is recorded in a
-:class:`repro.obs.metrics.MetricsRegistry` and snapshotted onto every
-:class:`MILPResult`; with a :class:`repro.obs.Tracer` attached the
-search additionally emits one ``node`` event per processed node (depth,
-branch variable, LP iterations, warm-start hit/miss, bound) — enough to
-reconstruct the search tree — guarded by a single ``if`` so disabled
-tracing costs nothing on the hot loop.
+budget.  With a :class:`repro.obs.Tracer` attached the search emits one
+``node`` event per processed node (depth, branch variable, LP
+iterations, status, bound) — enough to reconstruct the search tree —
+guarded by a single ``if`` so disabled tracing costs nothing on the hot
+loop.
 """
 
 from __future__ import annotations
@@ -38,30 +30,21 @@ import heapq
 import itertools
 import math
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.milp.expr import Sense
 from repro.milp.model import Model
 from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
-from repro.milp import cuts as cuts_mod
 from repro.milp import presolve as presolve_mod
-from repro.milp import revised_simplex, scipy_backend, simplex
+from repro.milp import scipy_backend
 from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
 from repro.obs.metrics import MetricsRegistry
 
-LPBackend = Callable[..., LPResult]
-
-_BACKENDS = {
-    "highs": scipy_backend.solve_lp,
-    "simplex": simplex.solve_lp,
-    "revised": revised_simplex.solve_lp,
-}
-
-#: Backends whose node LPs can restart from a parent basis.
-_WARM_BACKENDS = frozenset({"revised"})
+#: The node-LP engines :attr:`MILPOptions.lp_backend` accepts.
+_LP_BACKENDS = ("highs",)
 
 
 @dataclasses.dataclass
@@ -69,9 +52,7 @@ class MILPOptions:
     """Tunables for :func:`solve_milp`.
 
     Attributes:
-        lp_backend: ``"highs"`` (SciPy), ``"simplex"`` (cold two-phase
-            tableau) or ``"revised"`` (bounded-variable revised simplex
-            with basis-reuse warm starts).
+        lp_backend: Node-LP engine; only ``"highs"`` (SciPy) exists.
         time_limit: Wall-clock budget in seconds.
         node_limit: Maximum branch-and-bound nodes to process.
         int_tol: Integrality tolerance.
@@ -80,43 +61,18 @@ class MILPOptions:
             ``"first"`` or ``"random"``.
         node_selection: ``"hybrid"`` (best-first with plunging dives,
             default) or ``"best_first"`` (pure best-bound order).
-        warm_start: Reuse the parent basis at child nodes (only effective
-            with a warm-capable backend; see ``lp_backend``).
-        rc_fixing: Reduced-cost bound fixing at the root once an
-            incumbent exists (needs root reduced costs, i.e. the
-            ``"revised"`` backend).
         presolve: Run bound propagation before the search.
         rounding_heuristic: Try rounding each node's LP point into an
             incumbent.
-        cuts: Cutting planes (Gomory mixed-integer + ReLU triangle /
-            implied-bound rows from a managed pool).  ``None`` (the
-            default) enables them automatically for the warm-capable
-            ``"revised"`` backend; ``True`` with any other backend is an
-            error because separation reads the revised-simplex tableau.
-        cut_rounds: Maximum root separation rounds.
-        cut_min_binaries: Adaptive activation threshold: skip cut
-            separation entirely when the model has fewer binaries than
-            this (the search tree is small enough that separation
-            overhead outweighs the node savings).  Applies even with an
-            explicit ``cuts=True``; ``0`` disables the threshold.
-            Skipped solves report ``cuts_skipped_adaptive`` in metrics.
-        max_cuts_per_round: Cap on rows added per separation round.
-        cut_node_depth: Also separate one round at tree nodes up to this
-            depth (0 = root only).
-        cut_pool_size: Cut-pool capacity (dedup index size).
-        cut_age_limit: Separation rounds an active cut may stay slack
-            before the root loop evicts it.
         seed: RNG seed for the ``"random"`` branching rule.
         record_proof: Record a leaf-cover infeasibility proof on the
             result (:attr:`repro.milp.solution.MILPResult.proof`): per
-            pruned leaf, the fixed integer columns and the LP
-            infeasibility ray.  Only a search over the *original*
-            encoding can be replayed independently, so any feature that
-            rewrites it (presolve, cuts, reduced-cost fixing) or any
-            unrecordable pruning marks the proof incomplete rather than
-            emitting an unsound one.  Meant to be used with
-            ``presolve=False``, ``cuts=False``, ``rc_fixing=False`` and
-            the ``"revised"`` backend (the only one exporting rays).
+            pruned leaf, the fixed integer columns and a Farkas vector
+            (:func:`repro.milp.scipy_backend.farkas_ray`).  Only a
+            search over the *original* encoding can be replayed
+            independently, so presolve or any unrecordable pruning
+            marks the proof incomplete rather than emitting an unsound
+            one.  Meant to be used with ``presolve=False``.
     """
 
     lp_backend: str = "highs"
@@ -126,17 +82,8 @@ class MILPOptions:
     gap_tol: float = GAP_TOL
     branching: str = "pseudocost"
     node_selection: str = "hybrid"
-    warm_start: bool = True
-    rc_fixing: bool = True
     presolve: bool = True
     rounding_heuristic: bool = True
-    cuts: Optional[bool] = None
-    cut_min_binaries: int = 16
-    cut_rounds: int = 6
-    max_cuts_per_round: int = 8
-    cut_node_depth: int = 0
-    cut_pool_size: int = 500
-    cut_age_limit: int = 8
     seed: int = 0
     record_proof: bool = False
 
@@ -154,8 +101,6 @@ class _Node:
     depth: int = dataclasses.field(compare=False, default=0)
     #: Parent node's tiebreak id (-1 at the root) — tree telemetry only.
     parent: int = dataclasses.field(compare=False, default=-1)
-    #: Parent's optimal basis — the warm-start seed for this node's LP.
-    basis: Optional[object] = dataclasses.field(compare=False, default=None)
     #: Column branched on to create this node (-1 at the root).
     branch_var: int = dataclasses.field(compare=False, default=-1)
     #: Down (-1) or up (+1) child of the branching.
@@ -245,7 +190,7 @@ class _Search:
 
     def __init__(
         self, work: Model, options: MILPOptions, start: float,
-        tracer=None, relu_neurons=None,
+        tracer=None,
     ) -> None:
         self.options = options
         self.work = work
@@ -262,123 +207,34 @@ class _Search:
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
         self.rng = np.random.default_rng(options.seed)
-        self.lp_solve = _BACKENDS[options.lp_backend]
-        self.warm = (
-            options.warm_start
-            and options.lp_backend in _WARM_BACKENDS
-        )
-        self.std: Optional[revised_simplex.StandardLP] = (
-            revised_simplex.standardize(
-                self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
-                bounds,
-            )
-            if options.lp_backend in _WARM_BACKENDS
-            else None
-        )
         self.pseudocosts = _Pseudocosts(self.n)
         self.incumbent_x: Optional[np.ndarray] = None
         self.incumbent_obj = math.inf  # internal minimisation objective
         self.nodes = 0
         self.lp_iterations = 0
-        # Warm-start accounting lives in the metrics registry; the
-        # counter objects are cached so hot-loop increments stay O(1).
         self.metrics = MetricsRegistry()
-        self.warm_attempts = self.metrics.counter("warm_start_attempts")
-        self.warm_hits = self.metrics.counter("warm_start_hits")
-        self.basis_rejections = self.metrics.counter("basis_rejections")
-        self.iterations_saved = self.metrics.counter(
-            "lp_iterations_saved"
-        )
-        # -- cutting planes -------------------------------------------------
-        self.relu_neurons = list(relu_neurons or [])
-        cuts_requested = (
-            options.cuts
-            if options.cuts is not None
-            else options.lp_backend in _WARM_BACKENDS
-        )
-        # Adaptive activation: below the binary-count threshold the
-        # enumeration tree is small enough that separation overhead
-        # (tableau views, LP regrowth) outweighs any node savings.
-        adaptive_skip = (
-            cuts_requested
-            and options.cut_min_binaries > 0
-            and 0 < self.int_idx.size < options.cut_min_binaries
-        )
-        self.pool: Optional[cuts_mod.CutPool] = (
-            cuts_mod.CutPool(options.cut_pool_size, options.cut_age_limit)
-            if cuts_requested and not adaptive_skip
-            and self.std is not None and self.int_idx.size
-            else None
-        )
-        #: Global bound snapshot every cut is complemented against.
-        #: Taken *before* reduced-cost fixing ever tightens the root
-        #: arrays, so cuts stay valid for the full integer-feasible set.
-        self.cut_lb = self.root_lb.copy()
-        self.cut_ub = self.root_ub.copy()
-        self.cut_rounds_c = self.metrics.counter("cut_rounds")
-        self.cuts_added_c = self.metrics.counter("cuts_added")
-        self.cuts_evicted_c = self.metrics.counter("cuts_evicted")
-        self.gomory_cuts_c = self.metrics.counter("gomory_cuts")
-        self.relu_cuts_c = self.metrics.counter("relu_cuts")
-        self.cut_sep_time_c = self.metrics.counter("cut_separation_time")
-        self.cuts_skipped_c = self.metrics.counter("cuts_skipped_adaptive")
-        if adaptive_skip and self.std is not None:
-            self.cuts_skipped_c.inc()
-        #: Warm-start outcome of the most recent ``_node_lp`` call, for
-        #: per-node trace events ("hit" / "miss" / "cold" / "off").
-        self.last_warm = "off"
-        self.root_cold_iterations = 0
+        self.lp_failures = self.metrics.counter("lp_failures")
+        #: Bounds of the nodes whose LP failed: their subtrees stay
+        #: undecided, and each parent objective still bounds its subtree.
+        self.failed_bounds: List[float] = []
         self.counter = itertools.count()
         self.heap: List[_Node] = []
         self.dive_stack: List[_Node] = []
         # -- infeasibility-proof recording ----------------------------------
         self.record_proof = options.record_proof
-        self.proof_leaves: List[dict] = []
-        self.proof_incomplete = False
-        #: Root bounds frozen before reduced-cost fixing can tighten
-        #: them — leaf literals are defined against *these*.
-        self._proof_root_lb = self.root_lb.copy()
-        self._proof_root_ub = self.root_ub.copy()
-        if self.record_proof and (options.presolve or self.pool is not None):
-            # Both rewrite the encoding the checker replays against.
-            self.proof_incomplete = True
+        #: Per pruned leaf: ``(fixed literals, node lb, node ub)``.  The
+        #: Farkas rays are solved only once the search ends INFEASIBLE.
+        self.proof_leaves: List[Tuple[dict, np.ndarray, np.ndarray]] = []
+        # Presolve rewrites the encoding the checker replays against.
+        self.proof_incomplete = options.presolve
 
     # -- helpers -----------------------------------------------------------
     def _timed_out(self) -> bool:
         return time.monotonic() - self.start > self.options.time_limit
 
     def _node_lp(self, node: _Node) -> LPResult:
-        """Solve a node's LP relaxation, warm-starting when possible."""
-        if self.warm and node.basis is not None:
-            self.warm_attempts.inc()
-            # Cut rows appended after this node's parent solved leave the
-            # carried basis short; widen it over the new slack columns.
-            try:
-                basis = revised_simplex.extend_basis(node.basis, self.std)
-            except revised_simplex.NumericalTrouble:
-                basis = None
-            result = (
-                revised_simplex.reoptimize(
-                    self.std, basis, node.lb, node.ub,
-                    max_iter=max(500, 4 * self.root_cold_iterations),
-                )
-                if basis is not None
-                else None
-            )
-            if result is not None:
-                self.warm_hits.inc()
-                self.iterations_saved.inc(max(
-                    0, self.root_cold_iterations - result.iterations
-                ))
-                self.last_warm = "hit"
-                return result
-            self.basis_rejections.inc()
-            self.last_warm = "miss"
-        else:
-            self.last_warm = "cold" if self.warm else "off"
-        if self.std is not None:
-            return revised_simplex.cold_solve(self.std, node.lb, node.ub)
-        return self.lp_solve(
+        """Solve a node's LP relaxation."""
+        return scipy_backend.solve_lp(
             self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
             bounds=list(zip(node.lb, node.ub)),
         )
@@ -403,95 +259,55 @@ class _Search:
         rounded = np.clip(rounded, self.root_lb, self.root_ub)
         self._try_incumbent(rounded)
 
-    def _reduced_cost_fix(self, root: LPResult) -> int:
-        """Tighten root bounds via reduced costs against the incumbent.
-
-        For a nonbasic column at its lower bound with reduced cost
-        ``d > 0``, every point within the optimality window satisfies
-        ``x_j <= lb_j + (incumbent - root_obj) / d`` (symmetrically at
-        upper bounds); integer columns round the limit inward.  Applied
-        once, at the root, to the bound arrays all nodes inherit.
-        """
-        if (
-            root.reduced_costs is None
-            or not math.isfinite(self.incumbent_obj)
-        ):
-            return 0
-        slack = self.incumbent_obj - self.options.gap_tol - root.objective
-        if slack < 0.0:
-            return 0
-        d = root.reduced_costs
-        x = root.x
-        fixes = 0
-        is_int = np.zeros(self.n, dtype=bool)
-        is_int[self.int_idx] = True
-        for j in range(self.n):
-            width = self.root_ub[j] - self.root_lb[j]
-            if width <= 1e-12:
-                continue
-            if d[j] > 1e-9 and abs(x[j] - self.root_lb[j]) <= 1e-7:
-                limit = self.root_lb[j] + slack / d[j]
-                if is_int[j]:
-                    limit = math.floor(limit + self.options.int_tol)
-                if limit < self.root_ub[j] - 1e-9:
-                    self.root_ub[j] = max(limit, self.root_lb[j])
-                    fixes += 1
-            elif d[j] < -1e-9 and abs(x[j] - self.root_ub[j]) <= 1e-7:
-                limit = self.root_ub[j] + slack / d[j]
-                if is_int[j]:
-                    limit = math.ceil(limit - self.options.int_tol)
-                if limit > self.root_lb[j] + 1e-9:
-                    self.root_lb[j] = min(limit, self.root_ub[j])
-                    fixes += 1
-        return fixes
-
     # -- infeasibility-proof recording --------------------------------------
-    def _record_leaf(
-        self, node_lb: np.ndarray, node_ub: np.ndarray, result: LPResult
-    ) -> None:
-        """Record a pruned leaf (fixed literals + Farkas ray), if possible.
+    def _record_leaf(self, node_lb: np.ndarray, node_ub: np.ndarray) -> None:
+        """Record an infeasible leaf's fixed literals and box.
 
-        A leaf is recordable only when the LP backend certified it
-        INFEASIBLE with a ray and every integer column is either fully
-        fixed by branching or still at its root bounds (so the fixed
-        literals describe the leaf exactly).  Anything else poisons the
-        proof — better no certificate than a wrong one.
+        A leaf is recordable only when every integer column is either
+        fully fixed by branching or still at its root bounds (so the
+        fixed literals describe the leaf exactly).  Anything else
+        poisons the proof — better no certificate than a wrong one.
         """
         if not self.record_proof or self.proof_incomplete:
-            return
-        if result.status is not SolveStatus.INFEASIBLE:
-            self.proof_incomplete = True
-            return
-        farkas = getattr(result, "farkas", None)
-        if farkas is None:
-            self.proof_incomplete = True
             return
         fixed: dict = {}
         for j in map(int, self.int_idx):
             if node_lb[j] == node_ub[j]:
-                if self._proof_root_lb[j] != self._proof_root_ub[j]:
+                if self.root_lb[j] != self.root_ub[j]:
                     fixed[j] = int(round(node_lb[j]))
             elif (
-                node_lb[j] != self._proof_root_lb[j]
-                or node_ub[j] != self._proof_root_ub[j]
+                node_lb[j] != self.root_lb[j]
+                or node_ub[j] != self.root_ub[j]
             ):
                 self.proof_incomplete = True
                 return
-        self.proof_leaves.append(
-            {"fixed": fixed, "farkas": np.asarray(farkas, dtype=float)}
-        )
+        self.proof_leaves.append((fixed, node_lb, node_ub))
 
     def _proof_payload(self, status: SolveStatus) -> Optional[dict]:
-        """The ``MILPResult.proof`` dict (``None`` unless recording)."""
+        """The ``MILPResult.proof`` dict (``None`` unless recording).
+
+        Only a complete INFEASIBLE search pays for the leaves' Farkas
+        rays; a leaf whose elastic LP finds no ray leaves the proof
+        incomplete.
+        """
         if not self.record_proof:
             return None
-        return {
-            "complete": (
-                status is SolveStatus.INFEASIBLE
-                and not self.proof_incomplete
-            ),
-            "leaves": self.proof_leaves,
-        }
+        complete = (
+            status is SolveStatus.INFEASIBLE and not self.proof_incomplete
+        )
+        leaves = []
+        if complete:
+            for fixed, lb, ub in self.proof_leaves:
+                ray = scipy_backend.farkas_ray(
+                    self.A_ub, self.b_ub, self.A_eq, self.b_eq,
+                    list(zip(lb, ub)),
+                )
+                if ray is None:
+                    complete = False
+                    leaves = []
+                    break
+                leaves.append({"fixed": fixed, "farkas": ray})
+        return {"complete": complete, "leaves": leaves}
 
     def _fractional(self, x: np.ndarray) -> List[Tuple[int, float]]:
         """Integer columns whose LP value is fractional at ``x``."""
@@ -501,193 +317,6 @@ class _Search:
             for j in self.int_idx
             if abs(x[j] - round(x[j])) > tol
         ]
-
-    # -- cutting planes ----------------------------------------------------
-    def _separate_cuts(
-        self, result: LPResult,
-        lb: Optional[np.ndarray], ub: Optional[np.ndarray],
-    ) -> int:
-        """Offer fresh Gomory + ReLU cuts at ``result`` to the pool."""
-        t0 = time.perf_counter()
-        found: List[cuts_mod.Cut] = []
-        if result.basis is not None:
-            view = revised_simplex.tableau_view(
-                self.std, result.basis, lb, ub
-            )
-            if view is not None:
-                found.extend(cuts_mod.separate_gomory(
-                    view, self.int_idx, self.cut_lb, self.cut_ub,
-                    max_cuts=self.options.max_cuts_per_round,
-                ))
-        if self.relu_neurons:
-            found.extend(cuts_mod.separate_relu(
-                self.relu_neurons, result.x, self.cut_lb, self.cut_ub,
-                max_cuts=self.options.max_cuts_per_round,
-            ))
-        offered = sum(1 for cut in found if self.pool.offer(cut))
-        self.cut_sep_time_c.inc(time.perf_counter() - t0)
-        return offered
-
-    def _apply_cuts(self, chosen: List[cuts_mod.Cut]) -> None:
-        """Append the chosen pool cuts to the model and the standard LP."""
-        rows = np.stack([cut.coeffs for cut in chosen])
-        rhs = np.array([cut.rhs for cut in chosen])
-        self.work.add_cut_rows(rows, rhs)
-        self.std = revised_simplex.append_rows(self.std, rows, rhs)
-        self.pool.activate(chosen)
-        self.cuts_added_c.inc(len(chosen))
-        for cut in chosen:
-            if cut.kind == "gomory":
-                self.gomory_cuts_c.inc()
-            else:
-                self.relu_cuts_c.inc()
-
-    def _resolve_after_cuts(
-        self, basis, lb: np.ndarray, ub: np.ndarray
-    ) -> LPResult:
-        """Re-optimise the grown LP from an extended pre-cut basis.
-
-        The widened basis (new slacks basic) stays dual feasible, so the
-        dual simplex usually restores primal feasibility in a few
-        pivots; a rejected basis falls back to a cold solve.
-        """
-        result = None
-        if basis is not None:
-            try:
-                ext = revised_simplex.extend_basis(basis, self.std)
-            except revised_simplex.NumericalTrouble:
-                ext = None
-            if ext is not None:
-                result = revised_simplex.reoptimize(
-                    self.std, ext, lb, ub,
-                    max_iter=max(2000, 4 * self.root_cold_iterations),
-                )
-        if result is None:
-            result = revised_simplex.cold_solve(self.std, lb, ub)
-        return result
-
-    def _cut_event(self, rnd: int, added: List[cuts_mod.Cut],
-                   evicted: int, sep_time: float, bound: float) -> None:
-        if self.trace is None:
-            return
-        self.trace.event(
-            "cut",
-            round=rnd,
-            added=len(added),
-            evicted=evicted,
-            gomory=sum(1 for c in added if c.kind == "gomory"),
-            relu=sum(1 for c in added if c.kind != "gomory"),
-            sep_time=sep_time,
-            bound=bound,
-        )
-
-    def _run_cut_rounds(self, root: LPResult) -> LPResult:
-        """Root cutting-plane loop; returns the final root relaxation.
-
-        Eviction (and the LP rebuild it forces) happens only here, while
-        no child basis exists yet; mid-search separation is append-only
-        so every outstanding basis stays lazily extendable.
-        """
-        options = self.options
-        best = root
-        tail = 0
-        for rnd in range(1, options.cut_rounds + 1):
-            if self._timed_out() or not self._fractional(best.x):
-                break
-            sep_before = self.cut_sep_time_c.value
-            self._separate_cuts(best, self.root_lb, self.root_ub)
-            chosen = self.pool.select(best.x, options.max_cuts_per_round)
-            if not chosen:
-                break
-            self._apply_cuts(chosen)
-            result = self._resolve_after_cuts(
-                best.basis, self.root_lb, self.root_ub
-            )
-            self.lp_iterations += result.iterations
-            self.cut_rounds_c.inc()
-            if result.status is SolveStatus.INFEASIBLE:
-                # Valid cuts emptied the LP: the MILP has no feasible
-                # point (within the solver's tolerance contract).
-                return result
-            if result.status is not SolveStatus.OPTIMAL:
-                break  # numerical trouble: keep the last good relaxation
-            gain = result.objective - best.objective
-            self._cut_event(
-                rnd, chosen, 0,
-                self.cut_sep_time_c.value - sep_before,
-                float(result.objective),
-            )
-            self.pool.age_active(result.x)
-            best = result
-            if gain <= 1e-9 * max(1.0, abs(best.objective)):
-                tail += 1
-                if tail >= 2:
-                    break
-            else:
-                tail = 0
-        evicted = self.pool.evict_stale()
-        if evicted:
-            self.cuts_evicted_c.inc(len(evicted))
-            best = self._rebuild_std(best)
-            self._cut_event(
-                0, [], len(evicted), 0.0, float(best.objective)
-            )
-        return best
-
-    def _rebuild_std(self, best: LPResult) -> LPResult:
-        """Re-standardise with only the surviving active cuts.
-
-        ``self.A_ub``/``self.b_ub`` still reference the *original* dense
-        arrays (``add_cut_rows`` supersedes the cache without mutating
-        them), so the rebuild is original rows + active pool.
-        """
-        A_ub, b_ub = self.A_ub, self.b_ub
-        if self.pool.active:
-            rows = np.stack([cut.coeffs for cut in self.pool.active])
-            rhs = np.array([cut.rhs for cut in self.pool.active])
-            A_ub = np.vstack([A_ub, rows]) if A_ub is not None else rows
-            b_ub = (
-                np.concatenate([b_ub, rhs]) if b_ub is not None else rhs
-            )
-        self.std = revised_simplex.standardize(
-            self.c, A_ub, b_ub, self.A_eq, self.b_eq,
-            list(zip(self.root_lb, self.root_ub)),
-        )
-        result = revised_simplex.cold_solve(
-            self.std, self.root_lb, self.root_ub
-        )
-        self.lp_iterations += result.iterations
-        if result.status is not SolveStatus.OPTIMAL:
-            return best  # stale basis; _node_lp cold-falls-back safely
-        return result
-
-    def _node_cut_round(
-        self, node: _Node, result: LPResult
-    ) -> Optional[LPResult]:
-        """One append-only separation round at a shallow tree node.
-
-        Returns the (possibly tightened) node relaxation, or ``None``
-        when the cut LP proves the node integer-infeasible.
-        """
-        sep_before = self.cut_sep_time_c.value
-        self._separate_cuts(result, node.lb, node.ub)
-        chosen = self.pool.select(result.x, self.options.max_cuts_per_round)
-        if not chosen:
-            return result
-        self._apply_cuts(chosen)
-        new = self._resolve_after_cuts(result.basis, node.lb, node.ub)
-        self.lp_iterations += new.iterations
-        self.cut_rounds_c.inc()
-        if new.status is SolveStatus.INFEASIBLE:
-            return None
-        if new.status is not SolveStatus.OPTIMAL:
-            return result  # keep the valid pre-cut relaxation
-        self._cut_event(
-            node.depth, chosen, 0,
-            self.cut_sep_time_c.value - sep_before,
-            float(new.objective),
-        )
-        return new
 
     def _push_children(self, node: _Node, result: LPResult, j: int) -> None:
         """Branch on column ``j``; dive on the more promising child."""
@@ -701,7 +330,7 @@ class _Search:
                 result.objective, next(self.counter),
                 node.lb.copy(), down_ub, node.depth + 1,
                 parent=node.tiebreak,
-                basis=result.basis, branch_var=j, branch_dir=-1,
+                branch_var=j, branch_dir=-1,
                 branch_frac=frac, parent_obj=result.objective,
             ))
         up_lb = node.lb.copy()
@@ -711,7 +340,7 @@ class _Search:
                 result.objective, next(self.counter),
                 up_lb, node.ub.copy(), node.depth + 1,
                 parent=node.tiebreak,
-                basis=result.basis, branch_var=j, branch_dir=+1,
+                branch_var=j, branch_dir=+1,
                 branch_frac=frac, parent_obj=result.objective,
             ))
         if len(children) < 2:
@@ -751,7 +380,6 @@ class _Search:
             "branch_var": node.branch_var,
             "branch_dir": node.branch_dir,
             "lp_iterations": result.iterations,
-            "warm": self.last_warm,
             "status": result.status.value,
         }
         if result.status is SolveStatus.OPTIMAL:
@@ -769,34 +397,22 @@ class _Search:
         )
         root = self._node_lp(root_node)
         self.lp_iterations += root.iterations
-        self.root_cold_iterations = root.iterations
         if self.trace is not None:
             self._node_event(root_node, root)
         if root.status is SolveStatus.INFEASIBLE:
-            self._record_leaf(self.root_lb, self.root_ub, root)
+            self._record_leaf(self.root_lb, self.root_ub)
             return self._finish(SolveStatus.INFEASIBLE, sign,
                                 objective_constant, -math.inf)
         if root.status is SolveStatus.UNBOUNDED:
-            self.proof_incomplete = True
             return self._finish(SolveStatus.UNBOUNDED, sign,
                                 objective_constant, -math.inf)
         if root.status is not SolveStatus.OPTIMAL:
-            self.proof_incomplete = True
+            self.lp_failures.inc()
             return self._finish(SolveStatus.ERROR, sign,
                                 objective_constant, -math.inf)
 
         x = root.x
         fractional = self._fractional(x)
-        if fractional and self.pool is not None:
-            root = self._run_cut_rounds(root)
-            if root.status is SolveStatus.INFEASIBLE:
-                return self._finish(SolveStatus.INFEASIBLE, sign,
-                                    objective_constant, -math.inf)
-            if root.status is not SolveStatus.OPTIMAL:
-                return self._finish(SolveStatus.ERROR, sign,
-                                    objective_constant, -math.inf)
-            x = root.x
-            fractional = self._fractional(x)
         if not fractional:
             # An integral relaxation point is never part of an
             # infeasibility cover (even a tolerance-rejected incumbent
@@ -807,9 +423,6 @@ class _Search:
                 return self._finish(SolveStatus.OPTIMAL, sign,
                                     objective_constant, root.objective)
         self._rounding_candidates(x)
-        if options.rc_fixing:
-            if self._reduced_cost_fix(root):
-                self.proof_incomplete = True
         if fractional:
             j = _pick_branch_var(
                 fractional, options.branching, self.rng, self.pseudocosts
@@ -843,9 +456,14 @@ class _Search:
             self.lp_iterations += result.iterations
             if self.trace is not None:  # sole tracing cost when disabled
                 self._node_event(node, result)
+            if result.status is SolveStatus.INFEASIBLE:
+                self._record_leaf(node.lb, node.ub)
+                continue
             if result.status is not SolveStatus.OPTIMAL:
-                # Infeasible child (or numerical failure): prune.
-                self._record_leaf(node.lb, node.ub, result)
+                # A failed LP proves nothing about the node: its subtree
+                # stays undecided, bounded only by the parent objective.
+                self.lp_failures.inc()
+                self.failed_bounds.append(node.bound)
                 continue
             if (
                 options.branching == "pseudocost"
@@ -858,17 +476,6 @@ class _Search:
                 )
             if result.objective >= self.incumbent_obj - options.gap_tol:
                 continue
-            if (
-                self.pool is not None
-                and 0 < node.depth <= options.cut_node_depth
-                and self._fractional(result.x)
-            ):
-                tightened = self._node_cut_round(node, result)
-                if tightened is None:
-                    continue  # the cut LP proved the node empty
-                result = tightened
-                if result.objective >= self.incumbent_obj - options.gap_tol:
-                    continue
             x = result.x
             assert x is not None
             fractional = self._fractional(x)
@@ -884,6 +491,10 @@ class _Search:
             )
             self._push_children(node, result, j)
 
+        if status is SolveStatus.OPTIMAL and self.failed_bounds:
+            # Undecided subtrees: neither optimality nor infeasibility
+            # is proven, though an incumbent may still be reported.
+            status = SolveStatus.ERROR
         return self._finish(status, sign, objective_constant,
                             best_open_bound)
 
@@ -894,6 +505,9 @@ class _Search:
         objective_constant: float,
         best_open_bound: float,
     ) -> MILPResult:
+        if status is SolveStatus.OPTIMAL and self.incumbent_x is None:
+            status = SolveStatus.INFEASIBLE
+        proof = self._proof_payload(status)
         wall = time.monotonic() - self.start
         metrics = self.metrics.snapshot()
         if self.trace is not None:
@@ -901,42 +515,37 @@ class _Search:
                 "search_done", status=status.value, nodes=self.nodes,
                 lp_iterations=self.lp_iterations, **metrics,
             )
-        if status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED,
-                      SolveStatus.ERROR):
+        if status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED) or (
+            status is SolveStatus.ERROR and self.incumbent_x is None
+        ):
             return MILPResult(
                 status, nodes=self.nodes,
                 lp_iterations=self.lp_iterations, wall_time=wall,
-                metrics=metrics, proof=self._proof_payload(status),
+                metrics=metrics, proof=proof,
             )
         if status is SolveStatus.OPTIMAL:
-            if self.incumbent_x is None:
-                return MILPResult(
-                    SolveStatus.INFEASIBLE, nodes=self.nodes,
-                    lp_iterations=self.lp_iterations, wall_time=wall,
-                    metrics=metrics,
-                    proof=self._proof_payload(SolveStatus.INFEASIBLE),
-                )
             best_bound_internal = self.incumbent_obj
         else:
-            open_bounds = self._open_bounds() + [best_open_bound]
+            open_bounds = (
+                self._open_bounds() + self.failed_bounds
+                + [best_open_bound]
+            )
             best_bound_internal = min(min(open_bounds),
                                       self.incumbent_obj)
-        objective = (
-            sign * self.incumbent_obj + objective_constant
-            if self.incumbent_x is not None
-            else math.nan
-        )
-        best_bound = sign * best_bound_internal + objective_constant
         return MILPResult(
             status,
             x=self.incumbent_x,
-            objective=objective,
-            best_bound=best_bound,
+            objective=(
+                sign * self.incumbent_obj + objective_constant
+                if self.incumbent_x is not None
+                else math.nan
+            ),
+            best_bound=sign * best_bound_internal + objective_constant,
             nodes=self.nodes,
             lp_iterations=self.lp_iterations,
             wall_time=wall,
             metrics=metrics,
-            proof=self._proof_payload(status),
+            proof=proof,
         )
 
 
@@ -944,7 +553,6 @@ def solve_milp(
     model: Model,
     options: Optional[MILPOptions] = None,
     tracer=None,
-    relu_neurons=None,
 ) -> MILPResult:
     """Solve a MILP model; returns the best incumbent and a proven bound.
 
@@ -952,20 +560,12 @@ def solve_milp(
     *model's* sense (a maximisation model gets an upper best_bound).
     ``tracer`` (a :class:`repro.obs.Tracer`) enables per-node search-tree
     telemetry; ``None`` keeps the node loop instrumentation-free.
-    ``relu_neurons`` (a sequence of :class:`repro.milp.cuts.ReluNeuron`,
-    as attached to ``EncodedNetwork.neurons``) enables the ReLU-specific
-    cut separator on top of the generic Gomory cuts.
     """
     options = options or MILPOptions()
-    if options.lp_backend not in _BACKENDS:
+    if options.lp_backend not in _LP_BACKENDS:
         raise ValueError(
             f"unknown lp_backend {options.lp_backend!r}; "
-            f"expected one of {sorted(_BACKENDS)}"
-        )
-    if options.cuts and options.lp_backend not in _WARM_BACKENDS:
-        raise ValueError(
-            "cuts=True needs a tableau-exposing backend "
-            f"({sorted(_WARM_BACKENDS)}); got {options.lp_backend!r}"
+            f"expected one of {_LP_BACKENDS}"
         )
     if options.branching not in _BRANCH_RULES:
         raise ValueError(
@@ -987,6 +587,4 @@ def solve_milp(
             return MILPResult(SolveStatus.INFEASIBLE,
                               wall_time=time.monotonic() - start)
 
-    return _Search(
-        work, options, start, tracer=tracer, relu_neurons=relu_neurons
-    ).run()
+    return _Search(work, options, start, tracer=tracer).run()

@@ -1,8 +1,8 @@
 """Mixed-integer linear programming model container.
 
 A :class:`Model` owns variables, constraints and the objective, and exposes
-dense matrix views for the LP relaxation consumed by the simplex and
-branch-and-bound engines.  Models are deliberately simple and explicit —
+dense matrix views for the LP relaxation consumed by the LP engine
+and branch-and-bound.  Models are deliberately simple and explicit —
 no lazy columns, no symbolic presolve hidden in the container.
 """
 
@@ -124,15 +124,11 @@ class Model:
         rhs: np.ndarray,
         name_prefix: str = "cut",
     ) -> List[Constraint]:
-        """Append valid ``rows @ x <= rhs`` cut constraints.
+        """Append valid ``rows @ x <= rhs`` constraints named ``cut<k>``.
 
-        Unlike :meth:`add_constr` this does **not** invalidate the cached
-        dense view: the new rows are appended to the cached ``A_ub`` /
-        ``b_ub`` in place, so repeated ``dense_arrays()`` calls inside a
-        cutting-plane loop stay cheap and existing array references stay
-        valid (the old arrays are never mutated, only superseded).  The
-        rows must be *valid* inequalities — they take part in incumbent
-        feasibility checks like any other constraint.
+        The rows must be *valid* inequalities — they take part in
+        incumbent feasibility checks and the dense view like any other
+        constraint.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
@@ -156,19 +152,7 @@ class Model:
             )
             self.constraints.append(constr)
             added.append(constr)
-        if self._dense_cache is not None:
-            c, A_ub, b_ub, A_eq, b_eq, bounds = self._dense_cache
-            A_ub = (
-                np.vstack([A_ub, rows]) if A_ub is not None
-                else rows.copy()
-            )
-            b_ub = (
-                np.concatenate([b_ub, rhs]) if b_ub is not None
-                else rhs.copy()
-            )
-            A_ub.setflags(write=False)
-            b_ub.setflags(write=False)
-            self._dense_cache = (c, A_ub, b_ub, A_eq, b_eq, bounds)
+        self._dense_cache = None
         return added
 
     def set_objective(self, expr: ExprLike, sense: Sense = Sense.MINIMIZE) -> None:
@@ -283,8 +267,8 @@ class Model:
         Returns ``(inequality_names, equality_names)``: the first list
         follows the ``A_ub`` rows (``<=`` and negated ``>=`` rows in
         constraint encounter order), the second the ``A_eq`` rows.
-        Proof-certificate emission uses this to key standardized dual
-        rays by constraint name.
+        Proof-certificate emission uses this to key Farkas
+        vectors by constraint name.
         """
         ub_names: List[str] = []
         eq_names: List[str] = []

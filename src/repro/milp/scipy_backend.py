@@ -1,10 +1,10 @@
-"""LP backend delegating to SciPy's HiGHS solver.
+"""The node-LP engine: SciPy's HiGHS solver.
 
-Branch-and-bound issues many LP relaxations; HiGHS (via
-:func:`scipy.optimize.linprog`) is the fast default, while
-:mod:`repro.milp.simplex` is the self-contained reference implementation.
-Both expose the same ``solve_lp`` signature so the MILP engine can swap them
-freely, and the test suite cross-checks them against each other.
+Every LP relaxation branch-and-bound solves, and every per-neuron LP of
+the ``"lp"`` bound mode, goes through :func:`solve_lp`, a thin wrapper
+over :func:`scipy.optimize.linprog`.  :func:`farkas_ray` extracts the
+infeasibility evidence behind proof-certificate leaves from the same
+solver, using only ``linprog``'s public duals.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ _STATUS_MAP = {
 }
 
 
+def _highs_bounds(bounds: Sequence[Tuple[float, float]]) -> list:
+    return [
+        (None if lb == -math.inf else lb, None if ub == math.inf else ub)
+        for lb, ub in bounds
+    ]
+
+
 def solve_lp(
     c: np.ndarray,
     A_ub: Optional[np.ndarray] = None,
@@ -34,27 +41,23 @@ def solve_lp(
     A_eq: Optional[np.ndarray] = None,
     b_eq: Optional[np.ndarray] = None,
     bounds: Optional[Sequence[Tuple[float, float]]] = None,
-    max_iter: int = 0,
 ) -> LPResult:
-    """Minimise ``c @ x`` with HiGHS.  Same contract as the simplex backend.
+    """Minimise ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``.
 
-    ``max_iter`` is accepted for interface parity and ignored (HiGHS has its
-    own internal limits).
+    ``bounds`` holds one ``(lower, upper)`` pair per column (infinite
+    entries allowed) and defaults to ``x >= 0``.  HiGHS's iteration
+    limit and numerical failures both map to :attr:`SolveStatus.ERROR`.
     """
     n = len(c)
     if bounds is None:
         bounds = [(0.0, math.inf)] * n
-    highs_bounds = [
-        (None if lb == -math.inf else lb, None if ub == math.inf else ub)
-        for lb, ub in bounds
-    ]
     res = linprog(
         c,
         A_ub=A_ub,
         b_ub=b_ub,
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=highs_bounds,
+        bounds=_highs_bounds(bounds),
         method="highs",
     )
     status = _STATUS_MAP.get(res.status, SolveStatus.ERROR)
@@ -67,3 +70,58 @@ def solve_lp(
             iterations=iterations,
         )
     return LPResult(status, iterations=iterations)
+
+
+def farkas_ray(
+    A_ub: Optional[np.ndarray],
+    b_ub: Optional[np.ndarray],
+    A_eq: Optional[np.ndarray],
+    b_eq: Optional[np.ndarray],
+    bounds: Sequence[Tuple[float, float]],
+) -> Optional[np.ndarray]:
+    """A Farkas vector proving the LP's constraint system is empty.
+
+    Solves the elastic LP: minimise ``1ᵀs`` over the column box subject
+    to ``A_ub x - s <= b_ub``, ``A_eq x + s⁺ - s⁻ = b_eq`` and
+    ``s >= 0``.  Its optimum is the least total violation any point of
+    the box can reach; when that is positive, the optimal duals
+    ``y = -marginals`` (``y >= 0`` on the inequality rows) aggregate the
+    rows into ``yᵀA x <= yᵀb`` with ``min_box yᵀA x - yᵀb`` equal to the
+    optimum — infeasibility by weak duality.  Returns one entry per
+    row, inequality rows first, or ``None`` when the system is feasible
+    or HiGHS fails.
+    """
+    n = len(bounds)
+    m_ub = 0 if A_ub is None else A_ub.shape[0]
+    m_eq = 0 if A_eq is None else A_eq.shape[0]
+    # Columns: x, then one slack per inequality row, then s⁺ and s⁻ per
+    # equality row.
+    n_slack = m_ub + 2 * m_eq
+    c = np.concatenate([np.zeros(n), np.ones(n_slack)])
+    elastic_ub = elastic_eq = None
+    if m_ub:
+        elastic_ub = np.hstack([
+            A_ub, -np.eye(m_ub), np.zeros((m_ub, 2 * m_eq)),
+        ])
+    if m_eq:
+        elastic_eq = np.hstack([
+            A_eq, np.zeros((m_eq, m_ub)), np.eye(m_eq), -np.eye(m_eq),
+        ])
+    res = linprog(
+        c,
+        A_ub=elastic_ub,
+        b_ub=b_ub if m_ub else None,
+        A_eq=elastic_eq,
+        b_eq=b_eq if m_eq else None,
+        bounds=_highs_bounds(bounds) + [(0.0, None)] * n_slack,
+        method="highs",
+    )
+    if res.status != 0 or not res.fun > 0.0:
+        return None
+    # A positive optimum needs at least one row, so ``parts`` is non-empty.
+    parts = []
+    if m_ub:
+        parts.append(-np.asarray(res.ineqlin.marginals, dtype=float))
+    if m_eq:
+        parts.append(-np.asarray(res.eqlin.marginals, dtype=float))
+    return np.concatenate(parts)

@@ -19,28 +19,13 @@ class LPResult:
         x: Primal solution in original column order (``None`` unless
             the status is OPTIMAL).
         objective: Objective value in the *original* sense of the model.
-        iterations: Simplex pivots (or backend iterations) performed.
-        basis: Optimal basis (``repro.milp.revised_simplex.Basis``) when
-            the backend supports warm starting, else ``None``.
-        reduced_costs: Reduced costs of the structural columns at the
-            optimum (for reduced-cost bound fixing), when available.
-        warm_started: True when this solve reoptimised from a supplied
-            basis instead of starting cold.
-        farkas: Infeasibility ray over the standardized rows (one entry
-            per constraint row, inequality rows first) when the status
-            is INFEASIBLE and the backend produced one; the raw
-            evidence behind proof-certificate Farkas leaves
-            (:mod:`repro.proof.emit`).
+        iterations: Solver iterations performed.
     """
 
     status: SolveStatus
     x: Optional[np.ndarray] = None
     objective: float = float("nan")
     iterations: int = 0
-    basis: Optional[object] = None
-    reduced_costs: Optional[np.ndarray] = None
-    warm_started: bool = False
-    farkas: Optional[np.ndarray] = None
 
 
 @dataclasses.dataclass
@@ -55,14 +40,11 @@ class MILPResult:
             maximisation problem this is an upper bound on the achievable
             objective; the optimality gap is ``best_bound - objective``.
         nodes: Branch-and-bound nodes processed.
-        lp_iterations: Total simplex iterations over all node LPs.
+        lp_iterations: Total LP iterations over all node LPs.
         wall_time: Seconds spent inside the solver.
         metrics: Flat solver-telemetry snapshot from the search's
-            :class:`repro.obs.metrics.MetricsRegistry` — warm-start
-            accounting (``warm_start_attempts``, ``warm_start_hits``,
-            ``basis_rejections``, ``lp_iterations_saved``) and any
-            future instruments.  The historical attribute names remain
-            available as read-only properties over this mapping.
+            :class:`repro.obs.metrics.MetricsRegistry` (``lp_failures``:
+            node LPs HiGHS failed to solve).
     """
 
     status: SolveStatus
@@ -75,78 +57,15 @@ class MILPResult:
     metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Leaf-cover proof record (``MILPOptions.record_proof``): a dict
     #: with ``"leaves"`` — one entry per pruned leaf carrying the fixed
-    #: integer columns and the LP infeasibility ray — and ``"complete"``
-    #: — False when any proving path could not be recorded (cuts, an
-    #: unrecordable leaf, a rejected incumbent).  Consumed by
-    #: :func:`repro.proof.emit.assemble_milp_certificate`.
+    #: integer columns and the LP's Farkas vector — and ``"complete"``
+    #: — False when any proving path could not be recorded (presolve,
+    #: an unrecordable leaf, a rejected incumbent, a missing ray).
+    #: Consumed by :func:`repro.proof.emit.assemble_milp_certificate`.
     proof: Optional[Dict] = None
 
     @property
     def has_incumbent(self) -> bool:
         return self.x is not None
-
-    @property
-    def warm_start_attempts(self) -> int:
-        """Node LPs that tried a parent-basis warm start."""
-        return int(self.metrics.get("warm_start_attempts", 0))
-
-    @property
-    def warm_start_hits(self) -> int:
-        """Warm starts that produced a usable answer."""
-        return int(self.metrics.get("warm_start_hits", 0))
-
-    @property
-    def basis_rejections(self) -> int:
-        """Warm starts rejected (fell back to a cold node solve)."""
-        return int(self.metrics.get("basis_rejections", 0))
-
-    @property
-    def lp_iterations_saved(self) -> int:
-        """Estimated iterations avoided by warm starting (vs the root
-        LP's cold iteration count as the per-node proxy)."""
-        return int(self.metrics.get("lp_iterations_saved", 0))
-
-    @property
-    def warm_start_hit_rate(self) -> float:
-        """Fraction of warm-start attempts that stuck (0.0 when none)."""
-        if self.warm_start_attempts == 0:
-            return 0.0
-        return self.warm_start_hits / self.warm_start_attempts
-
-    @property
-    def cut_rounds(self) -> int:
-        """Separation rounds run (root loop plus shallow-node rounds)."""
-        return int(self.metrics.get("cut_rounds", 0))
-
-    @property
-    def cuts_added(self) -> int:
-        """Cut rows appended to the LP over the whole search."""
-        return int(self.metrics.get("cuts_added", 0))
-
-    @property
-    def cuts_evicted(self) -> int:
-        """Active cuts retired by the root loop's aging pass."""
-        return int(self.metrics.get("cuts_evicted", 0))
-
-    @property
-    def gomory_cuts(self) -> int:
-        """Gomory mixed-integer cuts among ``cuts_added``."""
-        return int(self.metrics.get("gomory_cuts", 0))
-
-    @property
-    def relu_cuts(self) -> int:
-        """ReLU triangle/implied-bound cuts among ``cuts_added``."""
-        return int(self.metrics.get("relu_cuts", 0))
-
-    @property
-    def cut_separation_time(self) -> float:
-        """Seconds spent inside the cut separators."""
-        return float(self.metrics.get("cut_separation_time", 0.0))
-
-    @property
-    def cuts_skipped_adaptive(self) -> int:
-        """1 when separation was skipped below the binary threshold."""
-        return int(self.metrics.get("cuts_skipped_adaptive", 0))
 
     @property
     def gap(self) -> float:

@@ -1,11 +1,10 @@
 """Counters, gauges and histograms behind the solver telemetry.
 
-The branch-and-bound search records its warm-start accounting into a
-:class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot` flattens it to
-a plain ``{name: number}`` dict that rides on ``MILPResult.metrics`` /
-``VerificationResult.metrics`` (picklable, JSON-ready).  The historical
-attributes (``warm_start_attempts`` and friends) remain available as
-properties reading from that mapping.
+The branch-and-bound search records its telemetry (e.g. failed node
+LPs) into a :class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot`
+flattens it to a plain ``{name: number}`` dict that rides on
+``MILPResult.metrics`` / ``VerificationResult.metrics`` (picklable,
+JSON-ready), where named properties read from it.
 
 Instruments are plain Python objects with ``__slots__`` so incrementing
 one in a hot loop costs an attribute add, nothing more.  Histograms

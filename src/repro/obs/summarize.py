@@ -85,13 +85,6 @@ class TraceSummary:
     slowest_cells: List[Tuple[str, float, str]]
     #: Branch-and-bound node events seen in the trace.
     num_nodes: int
-    #: Cut-separation rounds (``cut`` events with a positive round).
-    cut_rounds: int = 0
-    #: Cut rows added / retired, summed over every ``cut`` event.
-    cuts_added: int = 0
-    cuts_evicted: int = 0
-    #: Seconds spent inside the cut separators.
-    cut_separation_time: float = 0.0
     #: Region-bisection frontier: how many ``split`` events bisected a
     #: box, pruned a sub-region statically, or handed one to the MILP
     #: (``milp`` + ``degenerate`` actions).
@@ -159,7 +152,6 @@ def summarize_trace(
                 span.get("attrs", {}).get("verdict", "?"),
             ))
     cells.sort(key=lambda item: item[1], reverse=True)
-    cut_events = [e for e in events if e.get("name") == "cut"]
     split_actions = [
         e.get("attrs", {}).get("action", "")
         for e in events
@@ -175,20 +167,6 @@ def summarize_trace(
         total_wall=total_wall,
         slowest_cells=cells[:top],
         num_nodes=sum(1 for e in events if e.get("name") == "node"),
-        cut_rounds=sum(
-            1 for e in cut_events
-            if e.get("attrs", {}).get("round", 0) > 0
-        ),
-        cuts_added=sum(
-            int(e.get("attrs", {}).get("added", 0)) for e in cut_events
-        ),
-        cuts_evicted=sum(
-            int(e.get("attrs", {}).get("evicted", 0)) for e in cut_events
-        ),
-        cut_separation_time=sum(
-            float(e.get("attrs", {}).get("sep_time", 0.0))
-            for e in cut_events
-        ),
         split_bisections=split_actions.count("bisect"),
         split_pruned=split_actions.count("prune"),
         split_milp=(
@@ -246,13 +224,6 @@ def render_summary(summary: TraceSummary) -> str:
         f"total {summary.total_wall:.3f}s serial-equivalent; phases cover "
         f"{summary.phase_coverage:.0%}"
     )
-    if summary.cut_rounds or summary.cuts_added:
-        lines.append(
-            f"cutting planes: {summary.cuts_added} added over "
-            f"{summary.cut_rounds} rounds "
-            f"({summary.cuts_evicted} evicted); separation "
-            f"{summary.cut_separation_time:.3f}s"
-        )
     if summary.split_bisections or summary.split_pruned or summary.split_milp:
         lines.append(
             f"region bisection: {summary.split_bisections} bisection(s) "
@@ -324,7 +295,6 @@ def build_search_tree(
             "branch_var": attrs.get("branch_var", -1),
             "branch_dir": attrs.get("branch_dir", 0),
             "lp_iterations": attrs.get("lp_iterations", 0),
-            "warm": attrs.get("warm", "off"),
             "bound": attrs.get("bound"),
             "status": attrs.get("status", ""),
         })
@@ -349,9 +319,9 @@ def tree_to_json(tree: Dict[str, Any]) -> str:
 def tree_to_dot(tree: Dict[str, Any]) -> str:
     """The search tree as a Graphviz digraph.
 
-    Warm-start hits are filled green-ish, rejected/cold solves grey,
-    non-optimal (pruned) nodes red-ish; edges are labelled with the
-    branching decision that created the child.
+    Solved nodes are filled grey, non-optimal (pruned or failed) nodes
+    red-ish; edges are labelled with the branching decision that created
+    the child.
     """
     lines = [
         "digraph search_tree {",
@@ -362,17 +332,14 @@ def tree_to_dot(tree: Dict[str, Any]) -> str:
         known.add(node["id"])
         bound = node.get("bound")
         bound_text = f"{bound:.4g}" if isinstance(bound, float) else "-"
-        warm = node.get("warm", "off")
         if node.get("status") not in ("optimal", ""):
             color = "mistyrose"
-        elif warm == "hit":
-            color = "darkseagreen1"
         else:
             color = "gray92"
         label = (
             f"n{node['node']} d{node['depth']}\\n"
             f"bound {bound_text}\\n"
-            f"{node['lp_iterations']} it ({warm})"
+            f"{node['lp_iterations']} it"
         )
         lines.append(
             f'  "{node["id"]}" [label="{label}", fillcolor={color}];'

@@ -13,11 +13,11 @@ Two jobs:
   bound without knowing anything about the policy search.
 
 * :func:`assemble_milp_certificate` converts a branch-and-bound proof
-  record (leaf literals + per-leaf standardized dual rays) into the
+  record (leaf literals + per-leaf Farkas vectors) into the
   named-row Farkas leaves of the certificate format.  Each ray is
   *self-validated* against the same clean-room encoding rebuild the
   checker uses; sign conventions are tried both ways, so a convention
-  drift in the simplex can never produce a certificate the checker
+  drift in the LP engine can never produce a certificate the checker
   would reject — it produces no certificate at all, which is an honest
   (and visible) failure.
 """
@@ -221,8 +221,8 @@ def milp_proof_leaves(
     """Named, self-validated Farkas leaves from a B&B proof record.
 
     ``proof`` is the raw :attr:`repro.milp.solution.MILPResult.proof`
-    payload: per leaf, the fixed integer columns and the standardized
-    dual ray.  Column indices become variable names, ray entries become
+    payload: per leaf, the fixed integer columns and the Farkas
+    vector.  Column indices become variable names, ray entries become
     per-row multipliers keyed by constraint name, and every converted
     leaf is immediately re-checked with the checker's own Farkas
     arithmetic (trying both sign conventions of the ray).  Returns

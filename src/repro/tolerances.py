@@ -18,9 +18,8 @@ The constants fall into three families:
 * **semantic tolerances** (``FEASIBILITY_TOL``, ``INTEGRALITY_TOL``,
   ``GAP_TOL``, ``REGION_TOL``, ``BOUND_CROSS_TOL``) — decide what counts
   as feasible / integral / crossed;
-* **LP numerics** (``LP_FEAS_TOL``, ``LP_DUAL_TOL``, ``LP_PIVOT_TOL``)
-  — internal to the simplex engines, tighter than the semantic layer so
-  LP noise never flips a semantic decision;
+* **proof tolerances** (``PROOF_REPLAY_TOL``, ``PROOF_FARKAS_TOL``,
+  ``PROOF_DUAL_TOL``) — what the certificate checker forgives;
 * **safety margins** (``BOUND_MARGIN``) — slack deliberately *added*
   (e.g. to big-M coefficients) rather than compared against.
 """
@@ -50,17 +49,8 @@ GAP_TOL = 1e-6
 #: runtime monitors.
 REGION_TOL = 1e-6
 
-#: Primal feasibility tolerance inside the simplex engines.
-LP_FEAS_TOL = 1e-7
-
-#: Reduced-cost (dual feasibility) tolerance inside the simplex engines.
-LP_DUAL_TOL = 1e-7
-
-#: Minimum acceptable pivot magnitude; smaller pivots destroy precision.
-LP_PIVOT_TOL = 1e-7
-
 #: Generic "this float is zero" threshold for coefficient screening
-#: (presolve, cut separation, basis algebra).
+#: (presolve).
 EPS = 1e-9
 
 #: Slack *added* to every certified big-M bound by the encoder so LP
@@ -76,9 +66,9 @@ PROOF_REPLAY_TOL = 1e-6
 
 #: Minimum strict slack a Farkas certificate must exhibit
 #: (``lower_bound(yᵀA·x) > yᵀb`` by at least this much) before the
-#: checker accepts the claimed LP infeasibility.  Matches the simplex
-#: engines' ``LP_FEAS_TOL`` so the checker never accepts what the
-#: solver would call feasible.
+#: checker accepts the claimed LP infeasibility.  Matches HiGHS's
+#: default primal feasibility tolerance, so the checker never accepts
+#: what the solver would call feasible.
 PROOF_FARKAS_TOL = 1e-7
 
 #: Dual-sign slack: a certificate dual multiplier on a ``<=`` row may be

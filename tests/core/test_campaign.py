@@ -472,30 +472,6 @@ class TestDegenerateAccounting:
         )
         assert report.speedup == 1.0
 
-    def test_cut_totals_aggregate_cells(self):
-        from repro.core.campaign import CampaignCell, CampaignReport
-        from repro.core.verifier import VerificationResult
-
-        def cell(metrics):
-            return CampaignCell(
-                network_id="a",
-                property_name=f"q{len(metrics)}",
-                result=VerificationResult(
-                    verdict=Verdict.MAX_FOUND, metrics=metrics
-                ),
-            )
-
-        report = CampaignReport([
-            cell({"cuts_added": 5, "cut_rounds": 2,
-                  "cuts_evicted": 1, "cut_separation_time": 0.25}),
-            cell({"cuts_added": 3, "cut_rounds": 1,
-                  "cut_separation_time": 0.5}),
-        ])
-        assert report.total_cuts_added == 8
-        assert report.total_cut_rounds == 3
-        assert report.total_cuts_evicted == 1
-        assert report.total_cut_separation_time == pytest.approx(0.75)
-        assert "cutting planes: 8 added over 3 rounds" in report.summary()
 
 
 # -- worker-crash fault isolation -----------------------------------------

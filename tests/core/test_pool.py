@@ -222,10 +222,10 @@ class TestVerdictFingerprint:
         dict(encoder_options=EncoderOptions(bound_mode="lp")),
         dict(encoder_options=EncoderOptions(bound_mode="alpha")),
         dict(milp_options=MILPOptions(time_limit=30.0)),
-        dict(milp_options=MILPOptions(time_limit=60.0, cuts=True)),
         dict(milp_options=MILPOptions(
-            time_limit=60.0, cut_min_binaries=0,
+            time_limit=60.0, branching="most_fractional",
         )),
+        dict(milp_options=MILPOptions(time_limit=60.0, presolve=False)),
     ])
     def test_any_input_change_changes_fingerprint(self, change):
         assert self.base() != self.base(**change)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.encoder import EncoderOptions
+from repro.core.encoder import EncoderOptions, compute_bounds
 from repro.core.properties import (
     InputRegion,
     OutputObjective,
@@ -124,6 +124,73 @@ class TestDecisionQueries:
         # The witness genuinely violates the property on the real net.
         outputs = verifier.network.forward(result.counterexample)[0]
         assert not prop.holds_on(outputs, tol=1e-4)
+
+
+class TestNodeLPFailure:
+    """A node LP HiGHS fails to solve must never be pruned as infeasible.
+
+    Every LP after the root reports "numerical difficulties": nothing
+    below the root is decided, so the search may neither prove the
+    property nor claim an optimum.
+    """
+
+    THRESHOLD = 0.264  # the true maximum is 0.564
+
+    @pytest.fixture
+    def failing_node_lps(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        from repro.milp import scipy_backend
+
+        real = scipy_backend.linprog
+        calls = []
+
+        def linprog(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                return real(*args, **kwargs)
+            return OptimizeResult(
+                status=4, x=None, fun=None, nit=0,
+                message="Solve error",
+            )
+
+        monkeypatch.setattr(scipy_backend, "linprog", linprog)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        net = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(3)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        options = EncoderOptions(bound_mode="lp")
+        bounds = compute_bounds(net, region, options)
+        return Verifier(net, options, MILPOptions()), region, bounds
+
+    def test_true_max_above_threshold(self, setup):
+        verifier, region, bounds = setup
+        result = verifier.maximize(
+            region, OutputObjective.single(0), precomputed_bounds=bounds
+        )
+        assert result.verdict is Verdict.MAX_FOUND
+        assert result.value > self.THRESHOLD + 0.2
+
+    def test_decision_query_never_verified(self, setup, failing_node_lps):
+        verifier, region, bounds = setup
+        result = verifier.prove(SafetyProperty(
+            name="leq", region=region,
+            objective=OutputObjective.single(0), threshold=self.THRESHOLD,
+        ), precomputed_bounds=bounds)
+        assert len(failing_node_lps) > 1  # the search reached the nodes
+        assert result.verdict in (Verdict.ERROR, Verdict.FALSIFIED)
+
+    def test_max_query_never_max_found(self, setup, failing_node_lps):
+        verifier, region, bounds = setup
+        result = verifier.maximize(
+            region, OutputObjective.single(0), precomputed_bounds=bounds
+        )
+        assert len(failing_node_lps) > 1
+        assert result.verdict is Verdict.ERROR
 
 
 class TestCaseStudyQueries:

@@ -42,12 +42,12 @@ def brute_force_knapsack(values, weights, capacity) -> float:
 
 
 class TestKnapsackCorrectness:
-    @pytest.mark.parametrize("backend", ["highs", "simplex"])
-    def test_small_knapsack(self, backend):
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_small_knapsack(self, presolve):
         values = [10, 13, 18, 31, 7, 15]
         weights = [1, 2, 3, 4, 5, 6]
         model = knapsack(values, weights, 10)
-        res = solve_milp(model, MILPOptions(lp_backend=backend))
+        res = solve_milp(model, MILPOptions(presolve=presolve))
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, 10)
@@ -164,6 +164,12 @@ class TestOptions:
         with pytest.raises(ValueError):
             solve_milp(model, MILPOptions(lp_backend="gurobi"))
 
+    @pytest.mark.parametrize("backend", ["simplex", "revised"])
+    def test_retired_backends_rejected(self, backend):
+        model = knapsack([1], [1], 1)
+        with pytest.raises(ValueError, match="highs"):
+            solve_milp(model, MILPOptions(lp_backend=backend))
+
     def test_presolve_off_same_answer(self):
         values = [5, 10, 15]
         weights = [1, 2, 3]
@@ -223,8 +229,8 @@ class TestOptions:
         )
 
 
-class TestWarmStartedSearch:
-    """The revised backend with basis reuse must agree with cold solves."""
+class TestRandomKnapsacks:
+    """Deeper searches on random knapsacks agree across search options."""
 
     def _random_knapsack(self, rng, size=10):
         values = rng.integers(5, 60, size=size).tolist()
@@ -232,91 +238,38 @@ class TestWarmStartedSearch:
         capacity = int(sum(weights) // 2)
         return values, weights, capacity
 
-    def test_revised_warm_matches_cold_backends(self):
+    def test_node_selections_agree(self):
         rng = np.random.default_rng(5)
         for _ in range(8):
             values, weights, capacity = self._random_knapsack(rng)
-            warm = solve_milp(
+            hybrid = solve_milp(
                 knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", warm_start=True),
+                MILPOptions(node_selection="hybrid"),
             )
-            cold = solve_milp(
+            best_first = solve_milp(
                 knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="simplex"),
+                MILPOptions(node_selection="best_first", presolve=False),
             )
-            assert warm.status is SolveStatus.OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            assert hybrid.status is SolveStatus.OPTIMAL
+            assert hybrid.objective == pytest.approx(
+                best_first.objective, abs=1e-6
+            )
 
-    def test_warm_start_telemetry_populated(self):
+    def test_search_telemetry_populated(self):
         rng = np.random.default_rng(11)
         values, weights, capacity = self._random_knapsack(rng, size=14)
         model = knapsack(values, weights, capacity)
-        res = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
-        )
+        res = solve_milp(model, MILPOptions(presolve=False))
         assert res.status is SolveStatus.OPTIMAL
-        if res.nodes > 1:
-            assert res.warm_start_attempts > 0
-            assert res.warm_start_hits <= res.warm_start_attempts
-            assert 0.0 <= res.warm_start_hit_rate <= 1.0
-            assert res.basis_rejections >= 0
         assert res.lp_iterations > 0
-
-    def test_warm_start_off_runs_cold(self):
-        rng = np.random.default_rng(3)
-        values, weights, capacity = self._random_knapsack(rng)
-        model = knapsack(values, weights, capacity)
-        res = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=False),
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.warm_start_attempts == 0
-        assert res.objective == pytest.approx(
-            brute_force_knapsack(values, weights, capacity)
-        )
-
-    def test_warm_start_saves_lp_iterations(self):
-        """On a deep-ish tree, warm restarts cut total LP work."""
-        rng = np.random.default_rng(42)
-        values, weights, capacity = self._random_knapsack(rng, size=16)
-        model_w = knapsack(values, weights, capacity)
-        model_c = knapsack(values, weights, capacity)
-        warm = solve_milp(
-            model_w,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
-        )
-        cold = solve_milp(
-            model_c,
-            MILPOptions(lp_backend="simplex", presolve=False),
-        )
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        if warm.nodes > 3:
-            assert warm.lp_iterations < cold.lp_iterations
-
-    def test_rc_fixing_preserves_optimum(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            values, weights, capacity = self._random_knapsack(rng)
-            on = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", rc_fixing=True),
-            )
-            off = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", rc_fixing=False),
-            )
-            assert on.objective == pytest.approx(off.objective, abs=1e-6)
+        assert res.metrics["lp_failures"] == 0
 
     def test_pseudocost_branching_matches_brute_force(self):
         rng = np.random.default_rng(21)
         values, weights, capacity = self._random_knapsack(rng, size=12)
         res = solve_milp(
             knapsack(values, weights, capacity),
-            MILPOptions(lp_backend="revised", branching="pseudocost"),
+            MILPOptions(branching="pseudocost"),
         )
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, capacity)

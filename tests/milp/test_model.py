@@ -79,6 +79,32 @@ class TestDenseArrays:
         assert b_eq.tolist() == [1.0]
 
 
+def _two_item_model(capacity):
+    model = Model()
+    x = model.add_var("x", vtype=VarType.BINARY)
+    y = model.add_var("y", vtype=VarType.BINARY)
+    model.add_constr(2 * x + 4 * y <= capacity)
+    return model
+
+
+class TestCutRows:
+    def test_dense_view_includes_cut_rows(self):
+        model = _two_item_model(5.0)
+        _, A0, _, _, _, _ = model.dense_arrays()
+        model.add_cut_rows(np.array([[1.0, 1.0]]), np.array([1.0]))
+        _, A1, b1, _, _, _ = model.dense_arrays()
+        assert A1.shape[0] == A0.shape[0] + 1
+        assert A1[-1].tolist() == [1.0, 1.0]
+        assert b1[-1] == 1.0
+        assert A0.shape[0] == 1  # the earlier view was not mutated
+
+    def test_cut_rows_checked_by_is_feasible(self):
+        model = _two_item_model(10.0)
+        model.add_cut_rows(np.array([[1.0, 1.0]]), np.array([1.0]))
+        assert model.is_feasible([1.0, 0.0])
+        assert not model.is_feasible([1.0, 1.0])
+
+
 class TestFeasibility:
     def make(self):
         model = Model()

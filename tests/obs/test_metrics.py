@@ -1,8 +1,5 @@
 """Metrics-registry unit tests + telemetry-compat properties."""
 
-import numpy as np
-
-from repro.milp.solution import MILPResult
 from repro.milp.status import SolveStatus
 from repro.obs.metrics import (
     Counter,
@@ -81,40 +78,25 @@ class TestMergeMetrics:
 
 
 class TestMILPResultCompat:
-    """PR 2's telemetry attributes must survive the registry fold."""
-
-    def test_properties_read_from_metrics(self):
-        result = MILPResult(
-            SolveStatus.OPTIMAL,
-            x=np.zeros(1),
-            objective=1.0,
-            metrics={
-                "warm_start_attempts": 10,
-                "warm_start_hits": 7,
-                "basis_rejections": 3,
-                "lp_iterations_saved": 42,
-            },
-        )
-        assert result.warm_start_attempts == 10
-        assert result.warm_start_hits == 7
-        assert result.basis_rejections == 3
-        assert result.lp_iterations_saved == 42
-        assert result.warm_start_hit_rate == 0.7
+    """Solver telemetry rides on the flat metrics mapping, and named
+    result properties read from it."""
 
     def test_defaults_without_metrics(self):
-        result = MILPResult(SolveStatus.OPTIMAL)
-        assert result.warm_start_attempts == 0
-        assert result.warm_start_hit_rate == 0.0
+        from repro.core.verifier import VerificationResult, Verdict
+
+        result = VerificationResult(verdict=Verdict.MAX_FOUND)
+        assert result.alpha_iters == 0
+        assert result.split_cells == 0
 
     def test_verification_result_compat(self):
         from repro.core.verifier import VerificationResult, Verdict
 
         result = VerificationResult(
             verdict=Verdict.MAX_FOUND,
-            metrics={"warm_start_attempts": 4, "warm_start_hits": 2},
+            metrics={"alpha_iters": 4, "split_cells": 2},
         )
-        assert result.warm_start_attempts == 4
-        assert result.warm_start_hit_rate == 0.5
+        assert result.alpha_iters == 4
+        assert result.split_cells == 2
 
     def test_solver_populates_metrics(self):
         from repro.milp import (
@@ -135,14 +117,6 @@ class TestMILPResultCompat:
             sum((2 * i + 1) * x for i, x in enumerate(xs)),
             sense=Sense.MAXIMIZE,
         )
-        result = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
-        )
+        result = solve_milp(model, MILPOptions(presolve=False))
         assert result.status is SolveStatus.OPTIMAL
-        assert "warm_start_attempts" in result.metrics
-        assert (
-            result.warm_start_attempts
-            == result.metrics["warm_start_attempts"]
-        )
+        assert result.metrics == {"lp_failures": 0}

@@ -22,13 +22,7 @@ from repro.proof.emit import record_chain
 
 from .conftest import box_region, prove_certified
 
-PROOF_MILP = dict(
-    lp_backend="revised",
-    cuts=False,
-    presolve=False,
-    rc_fixing=False,
-    record_proof=True,
-)
+PROOF_MILP = dict(presolve=False, record_proof=True)
 
 
 def _violation_model(network, threshold):
@@ -83,6 +77,43 @@ class TestCertificateShapes:
         assert result.certificate is None
 
 
+class TestCertifiedSearchOptions:
+    def test_caller_options_kept(self, net2, net2_spread, monkeypatch):
+        """A certified query searches with the caller's MILPOptions;
+        only ``presolve`` and ``record_proof`` are overridden."""
+        import dataclasses
+
+        import repro.core.verifier as verifier_mod
+        from repro.core.verifier import Verifier
+        from repro.core.properties import SafetyProperty
+
+        seen = []
+        real = verifier_mod.solve_milp
+
+        def spy(model, options=None, tracer=None):
+            seen.append(options)
+            return real(model, options, tracer=tracer)
+
+        monkeypatch.setattr(verifier_mod, "solve_milp", spy)
+        true_max, upper = net2_spread
+        caller = MILPOptions(
+            time_limit=90.0, branching="most_fractional",
+            node_selection="best_first", seed=5,
+        )
+        result = Verifier(
+            net2, EncoderOptions(bound_mode="lp", certify=True), caller,
+        ).prove(SafetyProperty(
+            name="leq", region=box_region(2),
+            objective=OutputObjective.single(0),
+            threshold=true_max + 0.25 * (upper - true_max),
+        ))
+        assert result.verdict is Verdict.VERIFIED
+        assert result.certified
+        assert seen == [dataclasses.replace(
+            caller, presolve=False, record_proof=True
+        )]
+
+
 class TestRoundTrip:
     def test_result_dict_round_trip(self, milp_result):
         payload = result_to_dict(milp_result)
@@ -108,7 +139,7 @@ class TestBranchAndBoundProof:
     def test_no_proof_without_flag(self, net2, net2_spread):
         _, upper = net2_spread
         encoded = _violation_model(net2, upper + 1.0)
-        result = solve_milp(encoded.model, MILPOptions(lp_backend="revised"))
+        result = solve_milp(encoded.model, MILPOptions())
         assert result.status is SolveStatus.INFEASIBLE
         assert result.proof is None
 
@@ -125,20 +156,14 @@ class TestBranchAndBoundProof:
             assert isinstance(leaf["fixed"], dict)
             assert leaf["farkas"] is not None
 
-    @pytest.mark.parametrize(
-        "poison",
-        [dict(cuts=True, cut_min_binaries=0), dict(presolve=True)],
-    )
-    def test_transforms_poison_the_proof(
-        self, net2, net2_spread, poison
-    ):
-        """Presolve/cuts rewrite the model, so the recorded duals no
-        longer speak about the certified encoding — the proof must be
-        marked incomplete rather than silently wrong."""
+    def test_presolve_poisons_the_proof(self, net2, net2_spread):
+        """Presolve rewrites the model, so the recorded duals no longer
+        speak about the certified encoding — the proof must be marked
+        incomplete rather than silently wrong."""
         true_max, upper = net2_spread
         threshold = true_max + 0.25 * (upper - true_max)
         encoded = _violation_model(net2, threshold)
-        options = MILPOptions(**{**PROOF_MILP, **poison})
+        options = MILPOptions(**{**PROOF_MILP, "presolve": True})
         result = solve_milp(encoded.model, options)
         assert result.status is SolveStatus.INFEASIBLE
         assert result.proof is None or not result.proof["complete"]
