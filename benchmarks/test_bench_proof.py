@@ -6,7 +6,8 @@ certificates"), both recorded into ``BENCH_proof.json``:
 1. **certified matrix** — every PROVEN cell of the Table II decision
    campaign under ``--certify`` ships a ``repro-proof/1`` certificate,
    and an *independent* checker replay (static matrix arithmetic, no
-   solver) accepts every one of them;
+   solver) accepts every one of them — at a threshold every network
+   proves statically, and at one that sends two cells to the MILP;
 2. **overhead** — emitting and re-checking the certificates costs at
    most 10 % of the uncertified campaign wall time (plus a small
    absolute allowance for timer noise at the reduced CI scale).
@@ -30,15 +31,20 @@ from conftest import FULL_SCALE, TABLE_II_WIDTHS, TIME_LIMIT
 #: matrix; the certificates still replay the full relaxation chain.
 SAFE_THRESHOLD = 1000.0
 
+#: A threshold every network still proves, but I4x8 component 0 and
+#: I4x10 component 1 only through branch-and-bound, so the Farkas leaves
+#: the node-LP engine prunes are replayed too.
+MILP_THRESHOLD = 4.5
+
 #: Gate 2: certified wall / uncertified wall, plus timer-noise slack.
 MAX_OVERHEAD = 1.10
 WALL_SLACK = 0.75  # seconds; reduced-scale cells finish in ~seconds
 
 
-def run_campaign(study, family, certify):
+def run_campaign(study, family, certify, threshold=SAFE_THRESHOLD):
     campaign = casestudy.table_ii_campaign(
         study, family, time_limit=TIME_LIMIT,
-        threshold=SAFE_THRESHOLD, certify=certify,
+        threshold=threshold, certify=certify,
     )
     t0 = time.monotonic()
     report = campaign.run()
@@ -48,14 +54,17 @@ def run_campaign(study, family, certify):
 class TestCertifiedTableII:
     """Gate 1: the full matrix is certified and independently replayed."""
 
-    @pytest.fixture(scope="class")
-    def certified(self, study, family):
-        return run_campaign(study, family, certify=True)
+    @pytest.fixture(scope="class", params=[SAFE_THRESHOLD, MILP_THRESHOLD])
+    def certified(self, request, study, family):
+        report, wall = run_campaign(
+            study, family, certify=True, threshold=request.param
+        )
+        return report, wall, request.param
 
     def test_every_proven_cell_is_certified(
         self, certified, bench_record, emit
     ):
-        report, wall = certified
+        report, wall, threshold = certified
         rows = []
         replayed = 0
         decision = [
@@ -85,6 +94,10 @@ class TestCertifiedTableII:
                 f"{cell.result.wall_time:.2f}s",
             ])
         assert report.certified_cells == len(decision)
+        if threshold == MILP_THRESHOLD:
+            assert any(row[2] == "milp" for row in rows), (
+                "no cell reached the MILP at the MILP threshold"
+            )
         emit("\n" + render_generic(
             ["network", "query", "certificate", "wall"],
             rows,
@@ -94,10 +107,12 @@ class TestCertifiedTableII:
             ),
         ))
         bench_record(
-            "proof", "certified_table_ii",
+            "proof",
+            "certified_table_ii" if threshold == SAFE_THRESHOLD
+            else "certified_table_ii_milp",
             widths=list(TABLE_II_WIDTHS), cells=len(report.cells),
             certified=report.certified_cells, replayed=replayed,
-            threshold=SAFE_THRESHOLD, wall=wall,
+            threshold=threshold, wall=wall,
         )
 
 

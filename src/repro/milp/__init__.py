@@ -6,9 +6,10 @@ solver stack for that encoding:
 
 * :mod:`repro.milp.expr` / :mod:`repro.milp.model` — algebraic modelling
   layer (variables, linear expressions, constraints, objective);
-* :mod:`repro.milp.scipy_backend` — the node-LP engine (HiGHS through
-  :func:`scipy.optimize.linprog`) and the Farkas rays behind proof
-  certificates;
+* :mod:`repro.milp.scipy_backend` — the LP engines: one persistent
+  HiGHS model per branch-and-bound search, stateless
+  :func:`scipy.optimize.linprog` solves, and the Farkas rays behind
+  proof certificates;
 * :mod:`repro.milp.presolve` — bound propagation;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
   pseudocost branching, rounding heuristics, node/time budgets and proven

@@ -1,8 +1,10 @@
 """Branch-and-bound for mixed-integer linear programs.
 
 The engine is classical in shape — an LP relaxation per node, pruning by
-bound, an LP-rounding primal heuristic — with every node LP solved by
-HiGHS (:mod:`repro.milp.scipy_backend`):
+bound, an LP-rounding primal heuristic — with every node LP solved on
+one persistent HiGHS model per search
+(:class:`repro.milp.scipy_backend.NodeLP`): a node changes only the
+column bounds, so the dual simplex hot-starts from the last basis.
 
 * **pseudocost branching** (the default) learns per-column objective
   degradations from every solved child and steers branching toward
@@ -10,9 +12,10 @@ HiGHS (:mod:`repro.milp.scipy_backend`):
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
   returning to the global best-bound node when a dive is pruned;
-* a node LP that HiGHS fails to solve (iteration limit, numerical
-  trouble) is never mistaken for an infeasible one: its subtree stays
-  undecided, so the search cannot end INFEASIBLE or OPTIMAL.
+* a node LP that HiGHS fails to decide (any model status but optimal,
+  infeasible or unbounded) is never mistaken for an infeasible one: its
+  subtree stays undecided, so the search cannot end INFEASIBLE or
+  OPTIMAL.
 
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
@@ -206,6 +209,11 @@ class _Search:
         self.int_idx = np.array(work.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
+        #: One HiGHS model for the whole search; nodes change bounds only.
+        self.lp = scipy_backend.NodeLP(
+            self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
+            self.root_lb, self.root_ub,
+        )
         self.rng = np.random.default_rng(options.seed)
         self.pseudocosts = _Pseudocosts(self.n)
         self.incumbent_x: Optional[np.ndarray] = None
@@ -233,11 +241,8 @@ class _Search:
         return time.monotonic() - self.start > self.options.time_limit
 
     def _node_lp(self, node: _Node) -> LPResult:
-        """Solve a node's LP relaxation."""
-        return scipy_backend.solve_lp(
-            self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
-            bounds=list(zip(node.lb, node.ub)),
-        )
+        """Solve a node's LP relaxation, hot-started from the last node."""
+        return self.lp.solve(node.lb, node.ub)
 
     def _try_incumbent(self, x: np.ndarray) -> None:
         obj = float(self.c @ x)

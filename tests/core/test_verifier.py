@@ -129,33 +129,45 @@ class TestDecisionQueries:
 class TestNodeLPFailure:
     """A node LP HiGHS fails to solve must never be pruned as infeasible.
 
-    Every LP after the root reports "numerical difficulties": nothing
+    The persistent node-LP handle solves the root normally; every later
+    run reports a HiGHS model status that decides nothing (a solve
+    error, "unbounded or infeasible", an iteration limit).  Nothing
     below the root is decided, so the search may neither prove the
     property nor claim an optimum.
     """
 
     THRESHOLD = 0.264  # the true maximum is 0.564
 
-    @pytest.fixture
-    def failing_node_lps(self, monkeypatch):
-        from scipy.optimize import OptimizeResult
+    @pytest.fixture(params=[
+        "kSolveError", "kUnboundedOrInfeasible", "kIterationLimit",
+    ])
+    def failing_node_lps(self, request, monkeypatch):
+        from scipy.optimize._highspy._core import HighsModelStatus
 
         from repro.milp import scipy_backend
 
-        real = scipy_backend.linprog
-        calls = []
+        real = scipy_backend._Highs
+        injected = HighsModelStatus.__members__[request.param]
+        runs = []
 
-        def linprog(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 1:
-                return real(*args, **kwargs)
-            return OptimizeResult(
-                status=4, x=None, fun=None, nit=0,
-                message="Solve error",
-            )
+        class FailingHighs:
+            def __init__(self):
+                self._highs = real()
 
-        monkeypatch.setattr(scipy_backend, "linprog", linprog)
-        return calls
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def run(self):
+                runs.append(None)
+                return self._highs.run()
+
+            def getModelStatus(self):
+                if len(runs) == 1:
+                    return self._highs.getModelStatus()
+                return injected
+
+        monkeypatch.setattr(scipy_backend, "_Highs", FailingHighs)
+        return runs
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -191,6 +203,7 @@ class TestNodeLPFailure:
         )
         assert len(failing_node_lps) > 1
         assert result.verdict is Verdict.ERROR
+        assert result.metrics["lp_failures"] >= 1
 
 
 class TestCaseStudyQueries:

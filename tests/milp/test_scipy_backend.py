@@ -1,15 +1,19 @@
-"""Node-LP engine tests: status mapping, bounds conversion, basic LPs
-and the Farkas rays behind proof certificates."""
+"""LP engine tests: status mapping, bounds conversion, basic LPs, the
+persistent node-LP handle and the Farkas rays behind proof
+certificates."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from repro.analysis.audit import AuditReport
-from repro.milp.scipy_backend import farkas_ray, solve_lp
+from repro.milp.scipy_backend import NodeLP, farkas_ray, model_status, solve_lp
 from repro.milp.status import SolveStatus
 from repro.proof.check import _check_farkas
 
@@ -33,6 +37,33 @@ class TestStatusMapping:
     def test_unbounded(self):
         res = solve_lp(np.array([-1.0]), bounds=[(0.0, math.inf)])
         assert res.status is SolveStatus.UNBOUNDED
+
+    @pytest.mark.parametrize("name", sorted(HighsModelStatus.__members__))
+    def test_only_decisive_highs_statuses_decide(self, name):
+        decisive = {
+            "kOptimal": SolveStatus.OPTIMAL,
+            "kInfeasible": SolveStatus.INFEASIBLE,
+            "kUnbounded": SolveStatus.UNBOUNDED,
+        }
+        status = model_status(HighsModelStatus.__members__[name])
+        assert status is decisive.get(name, SolveStatus.ERROR)
+
+
+class TestPrivateApiPin:
+    def test_missing_highs_handle_fails_at_import(self):
+        # A clean interpreter, so this session's imports cannot mask it.
+        probe = (
+            "import scipy.optimize._highspy._core as core\n"
+            "del core._Highs\n"
+            "import repro.milp\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError")
+        assert "_Highs" in last and "scipy>=1.15,<1.18" in last
 
 
 class TestBoundsConversion:
@@ -154,6 +185,85 @@ class TestBasicLPs:
         assert res.status is SolveStatus.OPTIMAL
         assert res.x[0] == pytest.approx(2.0)
         assert res.x[1] == pytest.approx(5.0)
+
+
+class TestNodeLP:
+    """The persistent handle answers every box as a fresh solve would."""
+
+    N, M_UB, M_EQ = 30, 38, 2
+
+    @pytest.fixture
+    def lp(self):
+        rng = np.random.default_rng(2024)
+        c = rng.normal(size=self.N)
+        A_ub = rng.normal(size=(self.M_UB, self.N))
+        # x = 0 is feasible at the root; the last row caps sum(x), so a
+        # box raising more than half the lower bounds to 1 is empty.
+        A_ub[-1] = 1.0
+        b_ub = rng.uniform(0.5, 3.0, size=self.M_UB)
+        b_ub[-1] = self.N / 2
+        A_eq = rng.normal(size=(self.M_EQ, self.N))
+        b_eq = A_eq @ np.full(self.N, 0.5)
+        return c, A_ub, b_ub, A_eq, b_eq
+
+    def test_walk_matches_fresh_solves(self, lp):
+        rng = np.random.default_rng(7)
+        root_lb, root_ub = np.zeros(self.N), np.ones(self.N)
+        handle = NodeLP(*lp, root_lb, root_ub)
+        lb, ub = root_lb.copy(), root_ub.copy()
+        seen = {}
+        for _ in range(320):
+            move = rng.uniform()
+            if move < 0.6:  # tighten: fix or halve one column
+                j = int(rng.integers(self.N))
+                if rng.uniform() < 0.5:
+                    lb[j] = ub[j] = float(rng.integers(2))
+                else:
+                    mid = 0.5 * (lb[j] + ub[j])
+                    lb[j], ub[j] = (lb[j], mid) if rng.uniform() < 0.5 \
+                        else (mid, ub[j])
+            elif move < 0.8:  # an empty box
+                lb, ub = root_lb.copy(), root_ub.copy()
+                up = rng.choice(self.N, self.N // 2 + 2, replace=False)
+                lb[up] = 1.0
+            else:  # widen back to the root box
+                lb, ub = root_lb.copy(), root_ub.copy()
+            got = handle.solve(lb, ub)
+            want = solve_lp(*lp, bounds=list(zip(lb, ub)))
+            assert got.status is want.status
+            if want.status is SolveStatus.OPTIMAL:
+                assert got.objective == pytest.approx(
+                    want.objective, abs=1e-7
+                )
+                assert np.all(got.x >= lb - 1e-7)
+                assert np.all(got.x <= ub + 1e-7)
+            seen[want.status] = seen.get(want.status, 0) + 1
+        # The walk exercised both outcomes, many times over.
+        assert seen.get(SolveStatus.OPTIMAL, 0) >= 50
+        assert seen.get(SolveStatus.INFEASIBLE, 0) >= 50
+
+    def test_iterations_are_per_run(self, lp):
+        lb, ub = np.zeros(self.N), np.ones(self.N)
+        handle = NodeLP(*lp, lb, ub)
+        first = handle.solve(lb, ub)
+        again = handle.solve(lb, ub)
+        assert first.status is again.status is SolveStatus.OPTIMAL
+        assert first.iterations > 0
+        assert again.iterations < first.iterations
+        assert again.objective == pytest.approx(first.objective, abs=1e-9)
+
+    def test_unbounded_and_rowless(self):
+        handle = NodeLP(
+            np.array([-1.0, 1.0]), None, None, None, None,
+            np.zeros(2), np.array([math.inf, 1.0]),
+        )
+        assert handle.solve(
+            np.zeros(2), np.array([math.inf, 1.0])
+        ).status is SolveStatus.UNBOUNDED
+        res = handle.solve(np.zeros(2), np.array([4.0, 1.0]))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(-4.0)
+        assert res.x == pytest.approx([4.0, 0.0])
 
 
 def _named_rows(A, b):
