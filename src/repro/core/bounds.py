@@ -6,7 +6,8 @@ pre-activation over the input region.  Two engines are provided:
 * **interval** propagation — cheap, sound, often loose;
 * **LP tightening** — per-neuron LPs over the *relaxed* (triangle) network
   encoding, much tighter; neurons whose relaxed bound already has a fixed
-  sign need no binary variable at all.
+  sign need no binary variable at all.  Each layer's LP is one persistent
+  HiGHS model whose neurons are swept by cost changes alone.
 
 Bound quality is the decisive scalability lever for Table II: every neuron
 proven stably active/inactive removes one binary from the search, and
@@ -20,10 +21,11 @@ import dataclasses
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from repro.core.properties import InputRegion
 from repro.errors import EncodingError
-from repro.milp.scipy_backend import solve_lp
+from repro.milp.scipy_backend import NodeLP
 from repro.milp.status import SolveStatus
 from repro.nn.network import FeedForwardNetwork
 from repro.tolerances import BOUND_CROSS_TOL, FEASIBILITY_TOL
@@ -140,18 +142,72 @@ def _repair_crossed_bounds(
     new_hi[rest] = seed_hi[rest]
 
 
+def _triangle_rows(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    bias: np.ndarray,
+    weights: np.ndarray,
+    in_cols: np.ndarray,
+    out_cols: np.ndarray,
+    first_row: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One ReLU layer's triangle relaxation as ``<=`` rows in COO form.
+
+    Two rows per neuron ``j`` over its pre-activation ``z = w_j . x +
+    b_j`` (``x`` the ``in_cols``) and its post-activation ``a`` (column
+    ``out_cols[j]``):
+
+    * stably active (``l >= 0``): ``a - w_j . x <= b_j`` and its
+      negation, i.e. ``a == z``;
+    * stably inactive (``u <= 0``): ``a <= 0`` and ``-a <= 0``;
+    * ambiguous: ``a >= z`` and ``a <= u (z - l) / (u - l)``.
+
+    Returns ``(rows, cols, values, rhs)``; rows are numbered from
+    ``first_row``, neuron by neuron.
+    """
+    n = len(lo)
+    active = lo >= 0.0
+    inactive = ~active & (hi <= 0.0)
+    amb = ~active & ~inactive
+    slope = hi[amb] / (hi[amb] - lo[amb])
+    # Per neuron and row: the coefficient of w_j . x, of a, and the rhs.
+    z_coef = np.zeros((n, 2))
+    a_coef = np.tile([1.0, -1.0], (n, 1))
+    rhs = np.zeros((n, 2))
+    z_coef[active] = (-1.0, 1.0)
+    rhs[active, 0] = bias[active]
+    rhs[active, 1] = -bias[active]
+    z_coef[amb, 0] = 1.0
+    z_coef[amb, 1] = -slope
+    a_coef[amb] = (-1.0, 1.0)
+    rhs[amb, 0] = -bias[amb]
+    rhs[amb, 1] = slope * (bias[amb] - lo[amb])
+    z_coef, a_coef, rhs = z_coef.ravel(), a_coef.ravel(), rhs.ravel()
+    z_block = z_coef[:, None] * np.repeat(weights.T, 2, axis=0)
+    z_rows, z_cols = np.nonzero(z_block)
+    a_rows = np.arange(2 * n)
+    rows = first_row + np.concatenate([z_rows, a_rows])
+    cols = np.concatenate([in_cols[z_cols], np.repeat(out_cols, 2)])
+    values = np.concatenate([z_block[z_rows, z_cols], a_coef])
+    return rows, cols, values, rhs
+
+
 def lp_tightened_bounds(
     network: FeedForwardNetwork,
     region: InputRegion,
     seed_bounds: Optional[List[LayerBounds]] = None,
     layers_to_tighten: Optional[int] = None,
 ) -> List[LayerBounds]:
-    """Tighten interval bounds with per-neuron LPs (triangle relaxation).
+    """Tighten seed bounds with per-neuron LPs (triangle relaxation).
 
     Builds, layer by layer, an LP over inputs and the relaxed post-ReLU
-    variables, then minimises/maximises each neuron's pre-activation.  Only
-    ReLU layers benefit; ``layers_to_tighten`` limits the work (deeper
-    layers reuse the tightened shallow bounds through interval steps).
+    variables and passes it to HiGHS once (one :class:`NodeLP` per
+    layer).  Each neuron's pre-activation is then minimised and
+    maximised by changing only the cost, so every LP hot-starts from
+    the previous optimal basis.  Only an OPTIMAL run tightens a side;
+    any other outcome leaves that side at its seed.  Only ReLU layers
+    benefit; ``layers_to_tighten`` limits the work (deeper layers reuse
+    the tightened shallow bounds through interval steps).
     """
     if not all(
         layer.activation in ("relu", "identity")
@@ -162,46 +218,47 @@ def lp_tightened_bounds(
     n_layers = len(network.layers)
     limit = n_layers if layers_to_tighten is None else layers_to_tighten
 
-    # LP columns: inputs, then post-activation vars of each processed layer.
-    col_bounds: List[Tuple[float, float]] = [
-        (float(l), float(u)) for l, u in region.bounds
-    ]
-    rows_ub: List[np.ndarray] = []
-    rhs_ub: List[float] = []
-    for coeffs, rhs in (c.as_indexed() for c in region.constraints):
-        row = np.zeros(len(col_bounds))
-        for idx, coef in coeffs.items():
-            row[idx] = coef
-        rows_ub.append(row)
-        rhs_ub.append(rhs)
-
-    prev_cols = list(range(network.input_dim))
+    # LP columns: inputs, then post-activation vars of each processed
+    # layer.  The ``<=`` rows accumulate as COO triplets, so each
+    # layer's model is assembled once at its final width.
+    col_lo = [np.asarray(region.bounds[:, 0], dtype=float)]
+    col_hi = [np.asarray(region.bounds[:, 1], dtype=float)]
+    rows: List[np.ndarray] = [np.empty(0, dtype=int)]
+    cols: List[np.ndarray] = [np.empty(0, dtype=int)]
+    values: List[np.ndarray] = [np.empty(0)]
+    rhs: List[np.ndarray] = [np.empty(0)]
+    for i, constraint in enumerate(region.constraints):
+        coeffs, bound = constraint.as_indexed()
+        rows.append(np.full(len(coeffs), i))
+        cols.append(np.fromiter(coeffs.keys(), dtype=int, count=len(coeffs)))
+        values.append(
+            np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+        )
+        rhs.append(np.array([bound], dtype=float))
+    num_cols = network.input_dim
+    num_rows = len(region.constraints)
+    prev_cols = np.arange(num_cols)
 
     for li, layer in enumerate(network.layers):
         if li >= limit:
             break
-        fan_out = layer.fan_out
-        num_cols = len(col_bounds)
-        pre_rows = np.zeros((fan_out, num_cols))
-        for j_local, col in enumerate(prev_cols):
-            pre_rows[:, col] = layer.weights[j_local, :]
-
-        def pad(row_list: List[np.ndarray], width: int) -> Optional[np.ndarray]:
-            if not row_list:
-                return None
-            return np.array(
-                [np.pad(r, (0, width - r.shape[0])) for r in row_list]
-            )
-
+        A_ub = csc_array(
+            (np.concatenate(values),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(num_rows, num_cols),
+        )
+        lp = NodeLP(
+            np.zeros(num_cols), A_ub, np.concatenate(rhs), None, None,
+            np.concatenate(col_lo), np.concatenate(col_hi),
+        )
         new_lo = bounds[li].lower.copy()
         new_hi = bounds[li].upper.copy()
-        A_ub = pad(rows_ub, num_cols)
-        b_ub = np.array(rhs_ub) if rhs_ub else None
-        for j in range(fan_out):
-            c = pre_rows[j]
+        cost = np.zeros(num_cols)
+        for j in range(layer.fan_out):
+            cost[prev_cols] = layer.weights[:, j]
             base = float(layer.bias[j])
-            res_min = solve_lp(c, A_ub, b_ub, bounds=col_bounds)
-            res_max = solve_lp(-c, A_ub, b_ub, bounds=col_bounds)
+            res_min = lp.minimize(cost)
+            res_max = lp.minimize(-cost)
             if res_min.status is SolveStatus.OPTIMAL:
                 new_lo[j] = max(new_lo[j], res_min.objective + base)
             if res_max.status is SolveStatus.OPTIMAL:
@@ -216,53 +273,19 @@ def lp_tightened_bounds(
             # Linear output layer: nothing downstream to relax.
             break
 
-        # Append post-activation columns with the triangle relaxation:
-        #   a >= 0, a >= z, a <= u (z - l) / (u - l)  [for ambiguous]
-        post_cols = []
-        for j in range(fan_out):
-            lo_j = float(bounds[li].lower[j])
-            hi_j = float(bounds[li].upper[j])
-            post_lo = max(0.0, lo_j)
-            post_hi = max(0.0, hi_j)
-            col_bounds.append((post_lo, post_hi))
-            post_cols.append(len(col_bounds) - 1)
-        # Grow existing rows to the new width lazily via pad() above.
-        for j in range(fan_out):
-            z_row = pre_rows[j]
-            a_col = post_cols[j]
-            lo_j = float(bounds[li].lower[j])
-            hi_j = float(bounds[li].upper[j])
-            base = float(layer.bias[j])
-            width = len(col_bounds)
-            if hi_j <= 0.0 or lo_j >= 0.0:
-                # Stable neuron: a == 0 or a == z; encode as two <= rows.
-                row_eq = np.zeros(width)
-                row_eq[a_col] = 1.0
-                if lo_j >= 0.0:
-                    row_eq[: z_row.shape[0]] -= z_row
-                    rows_ub.append(row_eq.copy())
-                    rhs_ub.append(base)
-                    rows_ub.append(-row_eq)
-                    rhs_ub.append(-base)
-                else:
-                    rows_ub.append(row_eq.copy())
-                    rhs_ub.append(0.0)
-                    rows_ub.append(-row_eq)
-                    rhs_ub.append(0.0)
-                continue
-            # a >= z  <=>  z - a <= -b  (moving bias to the rhs)
-            row_ge = np.zeros(width)
-            row_ge[: z_row.shape[0]] = z_row
-            row_ge[a_col] = -1.0
-            rows_ub.append(row_ge)
-            rhs_ub.append(-base)
-            # a <= u (z + b - l) / (u - l)
-            slope = hi_j / (hi_j - lo_j)
-            row_le = np.zeros(width)
-            row_le[a_col] = 1.0
-            row_le[: z_row.shape[0]] = -slope * z_row
-            rows_ub.append(row_le)
-            rhs_ub.append(slope * (base - lo_j))
+        post_cols = np.arange(num_cols, num_cols + layer.fan_out)
+        col_lo.append(np.maximum(new_lo, 0.0))
+        col_hi.append(np.maximum(new_hi, 0.0))
+        r, k, v, b = _triangle_rows(
+            new_lo, new_hi, layer.bias, layer.weights,
+            prev_cols, post_cols, num_rows,
+        )
+        rows.append(r)
+        cols.append(k)
+        values.append(v)
+        rhs.append(b)
+        num_cols += layer.fan_out
+        num_rows += len(b)
         prev_cols = post_cols
 
     # Refresh deeper layers with interval steps from the tightened ones.

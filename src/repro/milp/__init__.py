@@ -7,9 +7,8 @@ solver stack for that encoding:
 * :mod:`repro.milp.expr` / :mod:`repro.milp.model` — algebraic modelling
   layer (variables, linear expressions, constraints, objective);
 * :mod:`repro.milp.scipy_backend` — the LP engines: one persistent
-  HiGHS model per branch-and-bound search, stateless
-  :func:`scipy.optimize.linprog` solves, and the Farkas rays behind
-  proof certificates;
+  HiGHS model per branch-and-bound search and per LP-bound layer, and
+  the Farkas rays behind proof certificates;
 * :mod:`repro.milp.presolve` — bound propagation;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
   pseudocost branching, rounding heuristics, node/time budgets and proven

@@ -1,13 +1,14 @@
 """The LP engines: SciPy's HiGHS solver.
 
-Branch-and-bound solves its node relaxations on one :class:`NodeLP` per
-search: a persistent HiGHS model, built once at the root, whose column
-bounds are the only thing a node changes, so HiGHS's dual simplex
-hot-starts every node from the previous basis.  The per-neuron LPs of
-the ``"lp"`` bound mode go through :func:`solve_lp`, a thin stateless
-wrapper over :func:`scipy.optimize.linprog`.  :func:`farkas_ray`
-extracts the infeasibility evidence behind proof-certificate leaves
-from ``linprog``'s public duals.
+Every LP the verifier solves in bulk runs on a :class:`NodeLP`: a
+persistent HiGHS model passed once, after which only column bounds
+(:meth:`NodeLP.solve`) or only costs (:meth:`NodeLP.minimize`) change,
+so HiGHS's simplex hot-starts each run from the previous basis.
+Branch-and-bound keeps one handle per search and changes bounds per
+node; the ``"lp"`` bound mode keeps one per layer and changes the cost
+per neuron side.  :func:`farkas_ray` extracts the infeasibility
+evidence behind proof-certificate leaves from
+:func:`scipy.optimize.linprog`'s public duals.
 
 :class:`NodeLP` drives ``scipy.optimize._highspy._core._Highs``, a
 private class scipy ships from 1.15 on; ``pyproject.toml`` pins the
@@ -18,11 +19,11 @@ class is missing.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, sparray, vstack
 
 try:
     from scipy.optimize._highspy._core import (
@@ -41,19 +42,10 @@ except ImportError as exc:  # pragma: no cover - depends on scipy build
 from repro.milp.solution import LPResult
 from repro.milp.status import SolveStatus
 
-_STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ERROR,       # iteration limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
-}
-
-
-#: The only HiGHS model statuses that decide a node LP.  Everything else
+#: The only HiGHS model statuses that decide an LP.  Everything else
 #: (``kUnboundedOrInfeasible``, time and iteration limits, ``kNotset``,
 #: solve errors) is :attr:`SolveStatus.ERROR`: such a node is never
-#: pruned as infeasible.
+#: pruned as infeasible, and such a bound LP never tightens a bound.
 _MODEL_STATUS_MAP = {
     HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
     HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
@@ -73,66 +65,29 @@ def _highs_bounds(bounds: Sequence[Tuple[float, float]]) -> list:
     ]
 
 
-def solve_lp(
-    c: np.ndarray,
-    A_ub: Optional[np.ndarray] = None,
-    b_ub: Optional[np.ndarray] = None,
-    A_eq: Optional[np.ndarray] = None,
-    b_eq: Optional[np.ndarray] = None,
-    bounds: Optional[Sequence[Tuple[float, float]]] = None,
-) -> LPResult:
-    """Minimise ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``.
-
-    ``bounds`` holds one ``(lower, upper)`` pair per column (infinite
-    entries allowed) and defaults to ``x >= 0``.  HiGHS's iteration
-    limit and numerical failures both map to :attr:`SolveStatus.ERROR`.
-    """
-    n = len(c)
-    if bounds is None:
-        bounds = [(0.0, math.inf)] * n
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=_highs_bounds(bounds),
-        method="highs",
-    )
-    status = _STATUS_MAP.get(res.status, SolveStatus.ERROR)
-    iterations = int(getattr(res, "nit", 0) or 0)
-    if status is SolveStatus.OPTIMAL:
-        return LPResult(
-            status,
-            x=np.asarray(res.x, dtype=float),
-            objective=float(res.fun),
-            iterations=iterations,
-        )
-    return LPResult(status, iterations=iterations)
-
-
 class NodeLP:
-    """One persistent HiGHS model for every node LP of a search.
+    """One persistent HiGHS model for a family of related LPs.
 
-    Built once from ``Model.dense_arrays()`` output (``<=`` rows, then
-    ``=`` rows, as a CSC matrix) over the root column box.  Each
-    :meth:`solve` changes the column bounds only and re-runs, so HiGHS
-    hot-starts its dual simplex from the basis the previous node left.
+    Built once from ``<=`` rows, then ``=`` rows (dense arrays or
+    scipy sparse matrices), over a column box.  :meth:`solve` changes
+    the column bounds only and :meth:`minimize` the cost only; either
+    way HiGHS hot-starts its simplex from the basis the previous run
+    left.
     """
 
     def __init__(
         self,
         c: np.ndarray,
-        A_ub: Optional[np.ndarray],
+        A_ub: Optional[Union[np.ndarray, sparray]],
         b_ub: Optional[np.ndarray],
-        A_eq: Optional[np.ndarray],
+        A_eq: Optional[Union[np.ndarray, sparray]],
         b_eq: Optional[np.ndarray],
         lb: np.ndarray,
         ub: np.ndarray,
     ) -> None:
         n = len(c)
-        blocks = [A for A in (A_ub, A_eq) if A is not None]
-        A = csc_array(np.vstack(blocks) if blocks else np.zeros((0, n)))
+        blocks = [csc_array(A) for A in (A_ub, A_eq) if A is not None]
+        A = vstack(blocks, format="csc") if blocks else csc_array((0, n))
         b_ub = np.empty(0) if A_ub is None else b_ub
         b_eq = np.empty(0) if A_eq is None else b_eq
         lp = HighsLp()
@@ -152,31 +107,44 @@ class NodeLP:
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         if self._highs.passModel(lp) == HighsStatus.kError:
-            raise ValueError("HiGHS rejected the node-LP model")
+            raise ValueError("HiGHS rejected the LP model")
         self._n = n
         self._cols = np.arange(n, dtype=np.int32)
 
-    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LPResult:
-        """Minimise over the column box ``[lb, ub]``.
+    def _run(self, with_x: bool) -> LPResult:
+        """Re-run HiGHS on the current model.
 
         ``iterations`` counts this run's simplex iterations only.
         """
         highs = self._highs
-        highs.changeColsBounds(self._n, self._cols, lb, ub)
         if highs.run() == HighsStatus.kError:
             status = SolveStatus.ERROR
         else:
             status = model_status(highs.getModelStatus())
         info = highs.getInfo()
         iterations = int(info.simplex_iteration_count)
-        if status is SolveStatus.OPTIMAL:
-            return LPResult(
-                status,
-                x=np.array(highs.getSolution().col_value),
-                objective=float(info.objective_function_value),
-                iterations=iterations,
-            )
-        return LPResult(status, iterations=iterations)
+        if status is not SolveStatus.OPTIMAL:
+            return LPResult(status, iterations=iterations)
+        return LPResult(
+            status,
+            x=np.array(highs.getSolution().col_value) if with_x else None,
+            objective=float(info.objective_function_value),
+            iterations=iterations,
+        )
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LPResult:
+        """Minimise over the column box ``[lb, ub]``."""
+        self._highs.changeColsBounds(self._n, self._cols, lb, ub)
+        return self._run(with_x=True)
+
+    def minimize(self, c: np.ndarray) -> LPResult:
+        """Minimise ``c @ x`` over the current box: the optimum only.
+
+        The result carries no ``x``; the bound sweeps read only the
+        optimal value, so copying the primal back would be wasted.
+        """
+        self._highs.changeColsCost(self._n, self._cols, c)
+        return self._run(with_x=False)
 
 
 def farkas_ray(

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import (
+    LayerBounds,
     interval_bounds,
     lp_tightened_bounds,
     total_ambiguous,
 )
-from repro.core.properties import InputRegion
+from repro.core.properties import InputRegion, LinearInputConstraint
 from repro.errors import EncodingError
 from repro.nn import FeedForwardNetwork
 
@@ -133,6 +134,196 @@ class TestLPTightenedBounds:
         )
         with pytest.raises(EncodingError):
             lp_tightened_bounds(net, unit_region(3))
+
+
+def reference_lp_bounds(net, region):
+    """Stateless reference for the ``"lp"`` bound mode.
+
+    The same triangle relaxation, written out independently (stably
+    inactive neurons get no rows: their ``[0, 0]`` column box already
+    pins them), with two fresh :func:`scipy.optimize.linprog` calls per
+    neuron and interval seeds.
+    """
+    from scipy.optimize import linprog
+
+    bounds = interval_bounds(net, region)
+    col_bounds = [(float(lo), float(hi)) for lo, hi in region.bounds]
+    rows, rhs = [], []
+    for constraint in region.constraints:
+        coeffs, bound = constraint.as_indexed()
+        rows.append(dict(coeffs))
+        rhs.append(bound)
+    prev = list(range(net.input_dim))
+    for li, layer in enumerate(net.layers):
+        n = len(col_bounds)
+        A_ub = np.zeros((len(rows), n))
+        for i, row in enumerate(rows):
+            for k, v in row.items():
+                A_ub[i, k] = v
+        system = dict(A_ub=A_ub, b_ub=np.array(rhs)) if rows else {}
+        lo = bounds[li].lower.copy()
+        hi = bounds[li].upper.copy()
+        for j in range(layer.fan_out):
+            c = np.zeros(n)
+            c[prev] = layer.weights[:, j]
+            lo_res = linprog(c, bounds=col_bounds, method="highs", **system)
+            hi_res = linprog(-c, bounds=col_bounds, method="highs", **system)
+            assert lo_res.status == 0 and hi_res.status == 0
+            lo[j] = max(lo[j], lo_res.fun + layer.bias[j])
+            hi[j] = min(hi[j], -hi_res.fun + layer.bias[j])
+        bounds[li] = LayerBounds(lo, hi)
+        if layer.activation != "relu":
+            break
+        post = []
+        for j in range(layer.fan_out):
+            a = len(col_bounds)
+            col_bounds.append((max(0.0, lo[j]), max(0.0, hi[j])))
+            post.append(a)
+            z = {k: layer.weights[i, j] for i, k in enumerate(prev)}
+            b = float(layer.bias[j])
+            if lo[j] >= 0.0:  # a == z + b
+                rows.append({**{k: -w for k, w in z.items()}, a: 1.0})
+                rhs.append(b)
+                rows.append({**z, a: -1.0})
+                rhs.append(-b)
+            elif hi[j] > 0.0:  # a >= z + b, a <= s (z + b - l)
+                s = hi[j] / (hi[j] - lo[j])
+                rows.append({**z, a: -1.0})
+                rhs.append(-b)
+                rows.append({**{k: -s * w for k, w in z.items()}, a: 1.0})
+                rhs.append(s * (b - lo[j]))
+        prev = post
+    return bounds
+
+
+def half_space_region(dim):
+    """The unit box cut by ``x0 - x1 + 0.5 x2 <= 0.25``."""
+    region = unit_region(dim)
+    constraint = LinearInputConstraint({}, rhs=0.25)
+    constraint.as_indexed = lambda: ({0: 1.0, 1: -1.0, 2: 0.5}, 0.25)
+    region.add_constraint(constraint)
+    return region
+
+
+class TestLPBoundEngine:
+    """The per-layer persistent handle answers as fresh LPs would."""
+
+    @pytest.mark.parametrize("seed,constrained", [
+        (0, False), (1, False), (2, True), (3, True),
+    ])
+    def test_matches_stateless_linprog(self, seed, constrained):
+        net = FeedForwardNetwork.mlp(
+            5, [8, 8, 8], 2, rng=np.random.default_rng(seed)
+        )
+        region = half_space_region(5) if constrained else unit_region(5)
+        got = lp_tightened_bounds(net, region)
+        want = reference_lp_bounds(net, region)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.lower, w.lower, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(g.upper, w.upper, rtol=0, atol=1e-7)
+
+
+def _post_relu_step(prev, layer):
+    """Interval image of one layer over the ReLU of ``prev``'s box."""
+    lo = np.maximum(prev.lower, 0.0)
+    hi = np.maximum(prev.upper, 0.0)
+    w_pos = np.maximum(layer.weights, 0.0)
+    w_neg = np.minimum(layer.weights, 0.0)
+    return (lo @ w_pos + hi @ w_neg + layer.bias,
+            hi @ w_pos + lo @ w_neg + layer.bias)
+
+
+class TestBoundLPFailure:
+    """Only an OPTIMAL bound LP may tighten a bound.
+
+    A proxy HiGHS handle reports a non-decisive outcome on chosen runs
+    (two runs per neuron: minimise, then maximise).  Seeds are the
+    interval bounds widened by ``PAD``, so every decided side tightens
+    visibly, while a failed side keeps its seed — up to the interval
+    refresh every deeper layer gets from the layer before it.
+    """
+
+    PAD = 1.0
+    HIDDEN = [6, 6, 6]
+    #: (layer, neuron, side) of every failed run, side 0 = lower.
+    FAILED = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 0),
+              (2, 3, 1), (3, 0, 1)}
+
+    @pytest.fixture(params=[
+        "kIterationLimit", "kUnboundedOrInfeasible", "kSolveError",
+        "run() kError",
+    ])
+    def faulty_highs(self, request, monkeypatch):
+        from scipy.optimize._highspy._core import (
+            HighsModelStatus,
+            HighsStatus,
+        )
+
+        from repro.milp import scipy_backend
+
+        real = scipy_backend._Highs
+        widths = self.HIDDEN + [2]
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        failing = {
+            2 * (offsets[layer] + neuron) + side
+            for layer, neuron, side in self.FAILED
+        }
+        injected = HighsModelStatus.__members__.get(request.param)
+        runs = []
+
+        class FaultyHighs:
+            def __init__(self):
+                self._highs = real()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def run(self):
+                runs.append(None)
+                status = self._highs.run()
+                if injected is None and len(runs) - 1 in failing:
+                    return HighsStatus.kError
+                return status
+
+            def getModelStatus(self):
+                if injected is not None and len(runs) - 1 in failing:
+                    return injected
+                return self._highs.getModelStatus()
+
+        monkeypatch.setattr(scipy_backend, "_Highs", FaultyHighs)
+        return runs
+
+    def test_failed_sides_keep_their_seed(self, faulty_highs):
+        rng = np.random.default_rng(11)
+        net = FeedForwardNetwork.mlp(4, self.HIDDEN, 2, rng=rng)
+        region = unit_region(4)
+        seeds = [
+            LayerBounds(b.lower - self.PAD, b.upper + self.PAD)
+            for b in interval_bounds(net, region)
+        ]
+        got = lp_tightened_bounds(net, region, seed_bounds=list(seeds))
+        assert len(faulty_highs) == 2 * (sum(self.HIDDEN) + 2)
+        for li, (g, seed) in enumerate(zip(got, seeds)):
+            keep_lo, keep_hi = seed.lower, seed.upper
+            if li > 0:
+                step_lo, step_hi = _post_relu_step(got[li - 1], net.layers[li])
+                keep_lo = np.maximum(keep_lo, step_lo)
+                keep_hi = np.minimum(keep_hi, step_hi)
+            for j in range(len(g.lower)):
+                for side, value, keep, seed_value in (
+                    (0, g.lower[j], keep_lo[j], seed.lower[j]),
+                    (1, g.upper[j], keep_hi[j], seed.upper[j]),
+                ):
+                    if (li, j, side) in self.FAILED:
+                        assert value == keep, (li, j, side)
+                    else:
+                        assert abs(value - seed_value) > 0.5, (li, j, side)
+        # Failed or not, every bound stays sound.
+        xs = rng.uniform(-1, 1, size=(2000, 4))
+        for layer_bounds, pre in zip(got, net.pre_activations(xs)):
+            assert np.all(pre >= layer_bounds.lower - 1e-6)
+            assert np.all(pre <= layer_bounds.upper + 1e-6)
 
 
 class TestBoundsCache:

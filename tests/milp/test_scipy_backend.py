@@ -1,6 +1,6 @@
 """LP engine tests: status mapping, bounds conversion, basic LPs, the
-persistent node-LP handle and the Farkas rays behind proof
-certificates."""
+persistent HiGHS handle (bounds-only node solves and cost-only sweeps)
+and the Farkas rays behind proof certificates."""
 
 import math
 import subprocess
@@ -10,22 +10,52 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from repro.analysis.audit import AuditReport
-from repro.milp.scipy_backend import NodeLP, farkas_ray, model_status, solve_lp
+from repro.milp.scipy_backend import NodeLP, farkas_ray, model_status
 from repro.milp.status import SolveStatus
 from repro.proof.check import _check_farkas
 
 
+def solve_once(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds):
+    """Minimise ``c @ x`` over ``bounds`` both ways the handle offers.
+
+    A cost-only :meth:`NodeLP.minimize` on a zero-cost model and a
+    bounds-only :meth:`NodeLP.solve` on a model built with cost ``c``
+    must agree on status and optimum; the ``solve`` result (which
+    carries ``x``) is returned.
+    """
+    lb = np.array([lo for lo, _ in bounds], dtype=float)
+    ub = np.array([hi for _, hi in bounds], dtype=float)
+    res = NodeLP(c, A_ub, b_ub, A_eq, b_eq, lb, ub).solve(lb, ub)
+    swept = NodeLP(
+        np.zeros(len(c)), A_ub, b_ub, A_eq, b_eq, lb, ub
+    ).minimize(c)
+    assert swept.status is res.status and swept.x is None
+    if res.status is SolveStatus.OPTIMAL:
+        assert swept.objective == pytest.approx(res.objective, abs=1e-9)
+    return res
+
+
+def linprog_status(res):
+    """The :class:`SolveStatus` of a :func:`scipy.optimize.linprog` result."""
+    return {
+        0: SolveStatus.OPTIMAL,
+        2: SolveStatus.INFEASIBLE,
+        3: SolveStatus.UNBOUNDED,
+    }.get(res.status, SolveStatus.ERROR)
+
+
 class TestStatusMapping:
     def test_optimal(self):
-        res = solve_lp(np.array([1.0]), bounds=[(0.0, 5.0)])
+        res = solve_once(np.array([1.0]), bounds=[(0.0, 5.0)])
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(0.0)
 
     def test_infeasible(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0]),
             A_ub=np.array([[1.0], [-1.0]]),
             b_ub=np.array([1.0, -2.0]),
@@ -35,7 +65,7 @@ class TestStatusMapping:
         assert res.x is None
 
     def test_unbounded(self):
-        res = solve_lp(np.array([-1.0]), bounds=[(0.0, math.inf)])
+        res = solve_once(np.array([-1.0]), bounds=[(0.0, math.inf)])
         assert res.status is SolveStatus.UNBOUNDED
 
     @pytest.mark.parametrize("name", sorted(HighsModelStatus.__members__))
@@ -68,7 +98,7 @@ class TestPrivateApiPin:
 
 class TestBoundsConversion:
     def test_infinite_bounds_translated(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0]),
             A_ub=np.array([[-1.0]]),
             b_ub=np.array([3.0]),  # x >= -3
@@ -77,13 +107,8 @@ class TestBoundsConversion:
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(-3.0)
 
-    def test_default_bounds_nonnegative(self):
-        res = solve_lp(np.array([1.0]))
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.x == pytest.approx([0.0])
-
     def test_equality_constraints(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0, 2.0]),
             A_eq=np.array([[1.0, 1.0]]),
             b_eq=np.array([5.0]),
@@ -93,7 +118,7 @@ class TestBoundsConversion:
         assert res.objective == pytest.approx(5.0)  # all mass on x0
 
     def test_iterations_reported(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([-1.0, -1.0]),
             A_ub=np.array([[1.0, 2.0], [3.0, 1.0]]),
             b_ub=np.array([4.0, 6.0]),
@@ -106,7 +131,7 @@ class TestBoundsConversion:
 class TestBasicLPs:
     def test_simple_maximization(self):
         # max x + 2y s.t. x + y <= 4, x - y <= 1, 0 <= x,y <= 10
-        res = solve_lp(
+        res = solve_once(
             np.array([-1.0, -2.0]),
             np.array([[1.0, 1.0], [1.0, -1.0]]),
             np.array([4.0, 1.0]),
@@ -117,7 +142,7 @@ class TestBasicLPs:
         assert res.x == pytest.approx([0.0, 4.0])
 
     def test_equality_constraint(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0, 1.0]),
             A_eq=np.array([[1.0, 1.0]]),
             b_eq=np.array([3.0]),
@@ -127,7 +152,7 @@ class TestBasicLPs:
         assert res.objective == pytest.approx(3.0)
 
     def test_infeasible(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0]),
             np.array([[1.0], [-1.0]]),
             np.array([1.0, -2.0]),  # x <= 1 and x >= 2
@@ -136,11 +161,11 @@ class TestBasicLPs:
         assert res.status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
-        res = solve_lp(np.array([-1.0]), bounds=[(0, math.inf)])
+        res = solve_once(np.array([-1.0]), bounds=[(0, math.inf)])
         assert res.status is SolveStatus.UNBOUNDED
 
     def test_free_variable(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0]),
             np.array([[-1.0]]),
             np.array([5.0]),  # -x <= 5  =>  x >= -5
@@ -150,12 +175,12 @@ class TestBasicLPs:
         assert res.objective == pytest.approx(-5.0)
 
     def test_upper_bounded_only_variable(self):
-        res = solve_lp(np.array([-1.0]), bounds=[(-math.inf, 3.0)])
+        res = solve_once(np.array([-1.0]), bounds=[(-math.inf, 3.0)])
         assert res.status is SolveStatus.OPTIMAL
         assert res.x == pytest.approx([3.0])
 
     def test_negative_lower_bounds(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0, 1.0]),
             np.array([[1.0, 1.0]]),
             np.array([0.0]),
@@ -170,13 +195,13 @@ class TestBasicLPs:
             [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
         )
         b = np.array([1.0, 1.0, 2.0, 1.0, 1.0])
-        res = solve_lp(np.array([-1.0, -1.0]), A, b,
+        res = solve_once(np.array([-1.0, -1.0]), A, b,
                        bounds=[(0, 5), (0, 5)])
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(-2.0)
 
     def test_fixed_variable(self):
-        res = solve_lp(
+        res = solve_once(
             np.array([1.0, -1.0]),
             np.array([[1.0, 1.0]]),
             np.array([10.0]),
@@ -188,7 +213,8 @@ class TestBasicLPs:
 
 
 class TestNodeLP:
-    """The persistent handle answers every box as a fresh solve would."""
+    """The persistent handle answers every box, and every cost, as a
+    fresh solve would."""
 
     N, M_UB, M_EQ = 30, 38, 2
 
@@ -229,15 +255,17 @@ class TestNodeLP:
             else:  # widen back to the root box
                 lb, ub = root_lb.copy(), root_ub.copy()
             got = handle.solve(lb, ub)
-            want = solve_lp(*lp, bounds=list(zip(lb, ub)))
-            assert got.status is want.status
-            if want.status is SolveStatus.OPTIMAL:
-                assert got.objective == pytest.approx(
-                    want.objective, abs=1e-7
-                )
+            ref = linprog(
+                lp[0], A_ub=lp[1], b_ub=lp[2], A_eq=lp[3], b_eq=lp[4],
+                bounds=list(zip(lb, ub)), method="highs",
+            )
+            want = linprog_status(ref)
+            assert got.status is want
+            if want is SolveStatus.OPTIMAL:
+                assert got.objective == pytest.approx(ref.fun, abs=1e-7)
                 assert np.all(got.x >= lb - 1e-7)
                 assert np.all(got.x <= ub + 1e-7)
-            seen[want.status] = seen.get(want.status, 0) + 1
+            seen[want] = seen.get(want, 0) + 1
         # The walk exercised both outcomes, many times over.
         assert seen.get(SolveStatus.OPTIMAL, 0) >= 50
         assert seen.get(SolveStatus.INFEASIBLE, 0) >= 50
@@ -247,6 +275,32 @@ class TestNodeLP:
         handle = NodeLP(*lp, lb, ub)
         first = handle.solve(lb, ub)
         again = handle.solve(lb, ub)
+        assert first.status is again.status is SolveStatus.OPTIMAL
+        assert first.iterations > 0
+        assert again.iterations < first.iterations
+        assert again.objective == pytest.approx(first.objective, abs=1e-9)
+
+    def test_cost_sweep_matches_fresh_solves(self, lp):
+        rng = np.random.default_rng(11)
+        lb, ub = np.zeros(self.N), np.ones(self.N)
+        handle = NodeLP(np.zeros(self.N), *lp[1:], lb, ub)
+        for _ in range(40):
+            cost = rng.normal(size=self.N)
+            for c in (cost, -cost):
+                got = handle.minimize(c)
+                ref = linprog(
+                    c, A_ub=lp[1], b_ub=lp[2], A_eq=lp[3], b_eq=lp[4],
+                    bounds=list(zip(lb, ub)), method="highs",
+                )
+                assert linprog_status(ref) is SolveStatus.OPTIMAL
+                assert got.status is SolveStatus.OPTIMAL and got.x is None
+                assert got.objective == pytest.approx(ref.fun, abs=1e-7)
+
+    def test_minimize_hot_starts(self, lp):
+        lb, ub = np.zeros(self.N), np.ones(self.N)
+        handle = NodeLP(np.zeros(self.N), *lp[1:], lb, ub)
+        first = handle.minimize(lp[0])
+        again = handle.minimize(lp[0])
         assert first.status is again.status is SolveStatus.OPTIMAL
         assert first.iterations > 0
         assert again.iterations < first.iterations
