@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro import casestudy
 from repro.core.certification import render_table_i
+from repro.core.encoder import BOUND_MODES
 from repro.data.dataset import DrivingDataset
 from repro.data.provenance import ProvenanceLog
 from repro.data.sanitize import sanitize
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     verify.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -220,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     campaign.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -266,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     serve.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -294,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--components", type=int, default=2)
     audit.add_argument(
         "--bound-mode", default="symbolic",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
         help="bound engine for the audited encoding (encoding audits "
         "check big-M rows against these certified bounds)",
     )

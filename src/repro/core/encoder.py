@@ -42,6 +42,9 @@ from repro.tolerances import BOUND_MARGIN, SPLIT_MIN_WIDTH
 #: a good fit for the pool's default worker count.
 DEFAULT_SPLIT_DEPTH = 4
 
+#: Every ``EncoderOptions.bound_mode``, cheapest to tightest.
+BOUND_MODES = ("interval", "crown", "symbolic", "alpha", "lp")
+
 
 @dataclasses.dataclass
 class EncoderOptions:
@@ -177,7 +180,7 @@ def compute_bounds(
         else:
             raise EncodingError(
                 f"unknown bound_mode {options.bound_mode!r} (expected "
-                "'interval', 'crown', 'symbolic', 'alpha' or 'lp')"
+                f"one of {', '.join(BOUND_MODES)})"
             )
         span.set(binaries_needed=total_ambiguous(bounds, network))
         return bounds

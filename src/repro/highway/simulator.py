@@ -36,8 +36,28 @@ class SimulatorConfig:
             raise SimulationError("lateral_speed must be positive")
 
 
+@dataclasses.dataclass
+class _LaneIndex:
+    """Who occupies which lane, for one fixed set of lateral positions.
+
+    ``occupied`` maps a vehicle id to its occupied lanes; ``members``
+    maps a lane to its occupants in simulator order, so a scan over one
+    lane breaks ties exactly as a scan over every vehicle would.
+    """
+
+    occupied: Dict[int, List[int]]
+    members: Dict[int, List[Vehicle]]
+
+
 class HighwaySimulator:
-    """Steps a set of vehicles on a ring highway."""
+    """Steps a set of vehicles on a ring highway.
+
+    Occupancy depends only on each vehicle's ``y``, which moves only in
+    the lateral phase of :meth:`step`.  The neighbour and slot queries
+    of the phases before it therefore share one lane index, built when
+    the step starts and dropped before any vehicle moves; queries made
+    outside a step build their own.
+    """
 
     def __init__(
         self,
@@ -57,6 +77,7 @@ class HighwaySimulator:
         self.collisions: List[Tuple[int, int, float]] = []
         self._cooldown: Dict[int, float] = {}
         self._ego_override: Optional[Tuple[float, float]] = None
+        self._index: Optional[_LaneIndex] = None
         ids = [v.vehicle_id for v in self.vehicles]
         if len(set(ids)) != len(ids):
             raise SimulationError("duplicate vehicle ids")
@@ -98,10 +119,8 @@ class HighwaySimulator:
         self, vehicle: Vehicle, lane: int, ahead: bool
     ) -> Optional[Tuple[Vehicle, float]]:
         best: Optional[Tuple[Vehicle, float]] = None
-        for other in self.vehicles:
+        for other in self._lane_index().members.get(lane, ()):
             if other.vehicle_id == vehicle.vehicle_id:
-                continue
-            if lane not in other.occupied_lanes(self.road):
                 continue
             if ahead:
                 center_gap = self.road.gap(vehicle.x, other.x)
@@ -126,11 +145,17 @@ class HighwaySimulator:
         """Advance the simulation by one time step."""
         dt = self.config.dt
         accels: Dict[int, float] = {}
-        for vehicle in self.vehicles:
-            accels[vehicle.vehicle_id] = self._longitudinal(vehicle)
-        for vehicle in self.vehicles:
-            if not vehicle.changing_lanes:
-                self._maybe_change_lane(vehicle)
+        # The next two phases never write ``y``, so occupancy holds
+        # until the vehicles move below.
+        self._index = self._build_index()
+        try:
+            for vehicle in self.vehicles:
+                accels[vehicle.vehicle_id] = self._longitudinal(vehicle)
+            for vehicle in self.vehicles:
+                if not vehicle.changing_lanes:
+                    self._maybe_change_lane(vehicle)
+        finally:
+            self._index = None
 
         override = self._ego_override
         self._ego_override = None
@@ -158,10 +183,24 @@ class HighwaySimulator:
             self.step()
 
     # -- internals ------------------------------------------------------------------
+    def _build_index(self) -> _LaneIndex:
+        occupied: Dict[int, List[int]] = {}
+        members: Dict[int, List[Vehicle]] = {}
+        for vehicle in self.vehicles:
+            lanes = vehicle.occupied_lanes(self.road)
+            occupied[vehicle.vehicle_id] = lanes
+            for lane in lanes:
+                members.setdefault(lane, []).append(vehicle)
+        return _LaneIndex(occupied, members)
+
+    def _lane_index(self) -> _LaneIndex:
+        """The current step's index, or a fresh one outside a step."""
+        return self._index if self._index is not None else self._build_index()
+
     def _longitudinal(self, vehicle: Vehicle) -> float:
         gap = math.inf
         leader_speed = math.inf
-        for lane in vehicle.occupied_lanes(self.road):
+        for lane in self._lane_index().occupied[vehicle.vehicle_id]:
             found = self.leader_in_lane(vehicle, lane)
             if found is not None and found[1] < gap:
                 gap = found[1]
@@ -212,10 +251,8 @@ class HighwaySimulator:
 
     def _slot_free(self, vehicle: Vehicle, lane: int) -> bool:
         """Physical space check: nobody directly beside the vehicle."""
-        for other in self.vehicles:
+        for other in self._lane_index().members.get(lane, ()):
             if other.vehicle_id == vehicle.vehicle_id:
-                continue
-            if lane not in other.occupied_lanes(self.road):
                 continue
             forward = self.road.gap(vehicle.x, other.x)
             backward = self.road.gap(other.x, vehicle.x)
@@ -247,10 +284,10 @@ class HighwaySimulator:
             vehicle.y += step
 
     def _detect_collisions(self) -> None:
-        for i, a in enumerate(self.vehicles):
-            lanes_a = set(a.occupied_lanes(self.road))
-            for b in self.vehicles[i + 1 :]:
-                if not lanes_a & set(b.occupied_lanes(self.road)):
+        lanes = [set(v.occupied_lanes(self.road)) for v in self.vehicles]
+        for i, (a, lanes_a) in enumerate(zip(self.vehicles, lanes)):
+            for b, lanes_b in zip(self.vehicles[i + 1 :], lanes[i + 1 :]):
+                if not lanes_a & lanes_b:
                     continue
                 gap = min(
                     self.road.gap(a.x, b.x), self.road.gap(b.x, a.x)

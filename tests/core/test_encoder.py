@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import interval_bounds
 from repro.core.encoder import (
+    BOUND_MODES,
     EncoderOptions,
     attach_objective,
     attach_violation_constraint,
@@ -55,12 +56,21 @@ class TestEncodingStructure:
             encode_network(tiny_net, unit_region(4))
 
     def test_bad_bound_mode_rejected(self, tiny_net):
-        with pytest.raises(EncodingError):
+        with pytest.raises(EncodingError) as excinfo:
             encode_network(
                 tiny_net,
                 unit_region(6),
                 EncoderOptions(bound_mode="magic"),
             )
+        for mode in BOUND_MODES:
+            assert mode in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode", BOUND_MODES)
+    def test_every_bound_mode_encodes(self, tiny_net, mode):
+        encoded = encode_network(
+            tiny_net, unit_region(6), EncoderOptions(bound_mode=mode)
+        )
+        assert encoded.model.num_vars > 0
 
     def test_objective_unknown_output_rejected(self, tiny_net):
         encoded = encode_network(

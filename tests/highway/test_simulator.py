@@ -1,5 +1,7 @@
 """Simulator tests: kinematics, neighbours, lane changes, safety."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from repro.highway import (
     ScenarioSpec,
     SimulatorConfig,
     Vehicle,
+    random_overtaking_scene,
     random_scene,
     vehicle_on_left_scene,
 )
+from repro.highway.idm import idm_acceleration
 
 
 def two_car_sim(gap=50.0, leader_speed=20.0, ego_speed=30.0, lanes=3):
@@ -219,3 +223,258 @@ class TestScenarios:
         sim = HighwaySimulator(road, vehicles)
         sim.run(1000)
         assert not sim.collisions
+
+
+class ScanningSimulator(HighwaySimulator):
+    """Reference simulator: every neighbour, slot and collision check
+    scans every vehicle and recomputes its occupied lanes, with no lane
+    index at all."""
+
+    def _nearest(self, vehicle, lane, ahead):
+        best = None
+        for other in self.vehicles:
+            if other.vehicle_id == vehicle.vehicle_id:
+                continue
+            if lane not in other.occupied_lanes(self.road):
+                continue
+            if ahead:
+                center_gap = self.road.gap(vehicle.x, other.x)
+            else:
+                center_gap = self.road.gap(other.x, vehicle.x)
+            if center_gap <= 0 or center_gap > self.road.length / 2:
+                continue
+            gap = center_gap - 0.5 * (vehicle.length + other.length)
+            if best is None or gap < best[1]:
+                best = (other, gap)
+        return best
+
+    def _longitudinal(self, vehicle):
+        gap = math.inf
+        leader_speed = math.inf
+        for lane in vehicle.occupied_lanes(self.road):
+            found = self._nearest(vehicle, lane, ahead=True)
+            if found is not None and found[1] < gap:
+                gap = found[1]
+                leader_speed = found[0].speed
+        desired = min(
+            vehicle.desired_speed,
+            self.road.speed_limit * self.road.friction + 3.0,
+        )
+        desired = max(desired, 0.1)
+        return idm_acceleration(
+            self.idm, vehicle.speed, desired, gap, leader_speed
+        )
+
+    def _slot_free(self, vehicle, lane):
+        for other in self.vehicles:
+            if other.vehicle_id == vehicle.vehicle_id:
+                continue
+            if lane not in other.occupied_lanes(self.road):
+                continue
+            forward = self.road.gap(vehicle.x, other.x)
+            backward = self.road.gap(other.x, vehicle.x)
+            margin = 0.5 * (vehicle.length + other.length) + 1.0
+            if min(forward, backward) < margin:
+                return False
+        return True
+
+    def _detect_collisions(self):
+        for i, a in enumerate(self.vehicles):
+            lanes_a = set(a.occupied_lanes(self.road))
+            for b in self.vehicles[i + 1 :]:
+                if not lanes_a & set(b.occupied_lanes(self.road)):
+                    continue
+                gap = min(
+                    self.road.gap(a.x, b.x), self.road.gap(b.x, a.x)
+                )
+                if gap < 0.5 * (a.length + b.length):
+                    self.collisions.append(
+                        (a.vehicle_id, b.vehicle_id, self.time)
+                    )
+
+
+_STATE = ("x", "y", "speed", "lane", "accel", "lateral_velocity")
+
+
+def _state(sim):
+    return [
+        tuple(getattr(v, name) for name in _STATE) for v in sim.vehicles
+    ]
+
+
+def _random_driver(seed, every):
+    """Seeded random ego actions on every ``every``-th step."""
+    rng = np.random.default_rng(seed)
+
+    def drive(step):
+        if step % every:
+            return None
+        return float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-3.0, 2.0))
+
+    return drive
+
+
+def _twin_rollout(road, vehicles, steps, drive=None):
+    """Step the indexed and the scanning simulator side by side from the
+    same start and assert exactly equal states after every step.
+
+    ``drive(step)`` may return an ego action ``(lateral_velocity,
+    acceleration)`` that both simulators apply to that step.  Returns
+    the reference simulator."""
+    fast = HighwaySimulator(road, [v.copy() for v in vehicles])
+    ref = ScanningSimulator(road, [v.copy() for v in vehicles])
+    assert _state(fast) == _state(ref)
+    for step in range(steps):
+        action = drive(step) if drive else None
+        if action is not None:
+            fast.set_ego_action(*action)
+            ref.set_ego_action(*action)
+        fast.step()
+        ref.step()
+        assert _state(fast) == _state(ref), f"diverged at step {step}"
+        assert fast.collisions == ref.collisions, f"step {step}"
+    return ref
+
+
+class TestLaneIndexMatchesScans:
+    """The per-step lane index answers exactly as all-vehicle scans."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_scene(self, seed):
+        road = Road()
+        vehicles = random_scene(
+            road, np.random.default_rng(seed), ScenarioSpec(num_vehicles=16)
+        )
+        _twin_rollout(road, vehicles, 250, _random_driver(seed, 5))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_random_overtaking_scene(self, seed):
+        road = Road()
+        vehicles = random_overtaking_scene(road, np.random.default_rng(seed))
+        _twin_rollout(road, vehicles, 250)
+
+    def test_dense_scene_with_external_ego(self):
+        road = Road(length=500.0)
+        vehicles = random_scene(
+            road,
+            np.random.default_rng(8),
+            ScenarioSpec(num_vehicles=24, min_spacing=15.0),
+        )
+        _twin_rollout(road, vehicles, 250, _random_driver(8, 3))
+
+    def test_vehicle_on_left_scene_collisions(self):
+        """Steering the ego into the blocker collides in both simulators,
+        so the collision lists are compared on real entries."""
+        road = Road(num_lanes=2)
+        ref = _twin_rollout(
+            road,
+            vehicle_on_left_scene(road),
+            60,
+            lambda step: (2.0, 0.0) if step < 20 else None,
+        )
+        assert ref.collisions
+
+    @staticmethod
+    def _both(road, vehicles):
+        return (
+            HighwaySimulator(road, [v.copy() for v in vehicles]),
+            ScanningSimulator(road, [v.copy() for v in vehicles]),
+        )
+
+    @staticmethod
+    def _ids(found):
+        return None if found is None else (found[0].vehicle_id, found[1])
+
+    def _assert_queries_match(self, road, vehicles):
+        fast, ref = self._both(road, vehicles)
+        for a, b in zip(fast.vehicles, ref.vehicles):
+            for lane in range(-1, road.num_lanes + 1):
+                assert self._ids(fast.leader_in_lane(a, lane)) == self._ids(
+                    ref.leader_in_lane(b, lane)
+                )
+                assert self._ids(
+                    fast.follower_in_lane(a, lane)
+                ) == self._ids(ref.follower_in_lane(b, lane))
+                if 0 <= lane < road.num_lanes:
+                    assert fast._slot_free(a, lane) == ref._slot_free(b, lane)
+        return fast
+
+    def test_equal_gap_tie_goes_to_first_in_order(self):
+        road = Road()
+        ego = Vehicle(0, x=100.0, y=0.0, speed=25.0, lane=0, is_ego=True)
+        # Vehicle 2 straddles lanes 0 and 1 at the same x as vehicle 1.
+        first = Vehicle(1, x=140.0, y=0.0, speed=20.0, lane=0)
+        second = Vehicle(2, x=140.0, y=1.75, speed=22.0, lane=1,
+                         lateral_velocity=1.2)
+        for order, winner in (([ego, first, second], 1),
+                              ([ego, second, first], 2)):
+            fast = self._assert_queries_match(road, order)
+            assert fast.leader_in_lane(fast.ego, 0)[0].vehicle_id == winner
+
+    def test_vehicle_mid_change_occupies_two_lanes(self):
+        road = Road()
+        ego = Vehicle(0, x=100.0, y=3.5, speed=25.0, lane=1, is_ego=True)
+        changing = Vehicle(1, x=130.0, y=1.75, speed=20.0, lane=0,
+                           lateral_velocity=-1.2)
+        fast = self._assert_queries_match(road, [ego, changing])
+        assert changing.occupied_lanes(road) == [0, 1]
+        for lane in (0, 1):
+            assert fast.leader_in_lane(fast.ego, lane)[0].vehicle_id == 1
+        assert fast.leader_in_lane(fast.ego, 2) is None
+
+    def test_leader_across_ring_wrap(self):
+        road = Road(length=500.0)
+        vehicles = [
+            Vehicle(0, x=490.0, y=0.0, speed=20.0, lane=0, is_ego=True),
+            Vehicle(1, x=10.0, y=0.0, speed=20.0, lane=0),
+            Vehicle(2, x=480.0, y=3.5, speed=20.0, lane=1),
+        ]
+        fast = self._assert_queries_match(road, vehicles)
+        vehicle, gap = fast.leader_in_lane(fast.ego, 0)
+        assert vehicle.vehicle_id == 1
+        assert gap == pytest.approx(20.0 - 4.5)
+        assert fast.follower_in_lane(fast.vehicle_by_id(1), 0)[0].vehicle_id == 0
+
+
+class TestLaneIndexLifetime:
+    """No lane index outlives the step that built it."""
+
+    def test_queries_between_steps_see_moved_vehicles(self):
+        road = Road()
+        sim = two_car_sim(gap=50.0)
+        sim.step()
+        mover = sim.vehicle_by_id(1)
+        assert sim.leader_in_lane(sim.ego, 0)[0] is mover
+        # Move the leader to lane 2, and from ahead of the ego to behind it.
+        mover.y = road.lane_center(2)
+        mover.lane = 2
+        mover.x = road.wrap(sim.ego.x - 30.0)
+        assert sim.leader_in_lane(sim.ego, 0) is None
+        assert sim.leader_in_lane(sim.ego, 2) is None
+        vehicle, gap = sim.follower_in_lane(sim.ego, 2)
+        assert vehicle is mover
+        assert gap == pytest.approx(30.0 - 4.5)
+        sim.step()
+        assert sim.follower_in_lane(sim.ego, 2)[0] is mover
+
+    def test_failed_step_leaves_no_index(self):
+        """A ``SimulationError`` from the lane-change phase propagates and
+        the queries after it answer for the current state."""
+        road = Road()
+        ego = Vehicle(0, x=100.0, y=0.0, speed=30.0, lane=0, is_ego=True,
+                      desired_speed=33.0)
+        slow = Vehicle(1, x=130.0, y=0.0, speed=15.0, lane=0,
+                       desired_speed=15.0)
+        # A stopped follower in the target lane: MOBIL's safety check
+        # evaluates IDM at its desired speed of 0, which IDM rejects.
+        parked = Vehicle(2, x=60.0, y=3.5, speed=0.0, lane=1,
+                         desired_speed=0.0)
+        sim = HighwaySimulator(road, [ego, slow, parked])
+        with pytest.raises(SimulationError, match="desired speed"):
+            sim.step()
+        assert sim._index is None
+        parked.x = 140.0
+        assert sim.leader_in_lane(ego, 1)[0] is parked
+        parked.y = 0.0
+        assert sim.leader_in_lane(ego, 0)[0] is slow
+        assert sim.leader_in_lane(ego, 1) is None

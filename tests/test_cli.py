@@ -1,9 +1,12 @@
 """CLI integration tests: the pipeline as subcommands on real files."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.core.encoder import BOUND_MODES
 from repro.data import DrivingDataset
 from repro.nn.serialization import load_network
 
@@ -46,6 +49,23 @@ class TestTable1:
         out = capsys.readouterr().out
         assert "TABLE I" in out
         assert "neuron-to-feature" in out
+
+
+class TestBoundModeChoices:
+    def test_every_bound_mode_option_offers_bound_modes(self):
+        parser = _build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        offered = {}
+        for name, subparser in commands.choices.items():
+            for action in subparser._actions:
+                if "--bound-mode" in action.option_strings:
+                    offered[name] = tuple(action.choices)
+        assert offered == dict.fromkeys(
+            ("verify", "campaign", "serve", "audit"), BOUND_MODES
+        )
 
 
 class TestGenerate:
